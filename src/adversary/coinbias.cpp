@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "net/fabric.hpp"
 
 namespace synran {
 
@@ -42,7 +41,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
 
   const std::uint32_t budget = world.round_budget();
   if (budget == 0 || senders == 0 || det_senders == senders) {
-    note_deliveries(world, plan);
+    note_deliveries(world, plan, senders);
     return plan;
   }
 
@@ -61,7 +60,7 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
     }
   }
   if (first) {
-    note_deliveries(world, plan);
+    note_deliveries(world, plan, senders);
     return plan;
   }
 
@@ -156,23 +155,30 @@ FaultPlan CoinBiasAdversary::plan_round(const WorldView& world) {
   // the coins fall and pay again next round.
 
   crashes_spent_ += static_cast<std::uint32_t>(plan.crash_count());
-  note_deliveries(world, plan);
+  note_deliveries(world, plan, senders);
   return plan;
 }
 
 void CoinBiasAdversary::note_deliveries(const WorldView& world,
-                                        const FaultPlan& plan) {
-  // Replay the delivery we just allowed so next round's thresholds use the
-  // receivers' true N^{r-1}.
-  const std::uint32_t n = world.n();
+                                        const FaultPlan& plan,
+                                        std::uint32_t senders) {
+  // Predict the N^{r-1} this round leaves each receiver, so next round's
+  // thresholds use the true counts. Every crash issued above shares one
+  // deliver_to mask (`reserve` or `half`) or reaches nobody, so a receiver
+  // hears every surviving sender plus all k victims if the mask holds it:
+  // O(n), no delivery replay.
+  const auto k = static_cast<std::uint32_t>(plan.crash_count());
+  const DynBitset* shared = k != 0 ? &plan.crashes.front().deliver_to : nullptr;
   DynBitset receivers = world.alive();
-  for (const auto& c : plan.crashes) receivers.reset(c.victim);
+  for (const auto& c : plan.crashes) {
+    SYNRAN_CHECK(c.deliver_to == *shared);
+    receivers.reset(c.victim);
+  }
   world.halted().for_each_set([&](std::size_t i) { receivers.reset(i); });
-
-  RoundTraffic traffic{world.payloads(), &plan};
-  const auto receipts = deliver(n, traffic, receivers);
-  receivers.for_each_set(
-      [&](std::size_t i) { last_count_[i] = receipts[i].count; });
+  receivers.for_each_set([&](std::size_t i) {
+    last_count_[i] =
+        senders - k + (shared != nullptr && shared->test(i) ? k : 0);
+  });
 }
 
 }  // namespace synran

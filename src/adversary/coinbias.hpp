@@ -56,13 +56,21 @@ class CoinBiasAdversary final : public Adversary {
   /// Crashes spent so far across the execution (for E8's budget traces).
   std::uint32_t crashes_spent() const { return crashes_spent_; }
 
+  /// Predicted N^{r-1} per process after the latest plan_round: the message
+  /// count that plan leaves each receiver (alive, not halted, not crashed
+  /// by it). Entries of other processes keep their earlier value.
+  const std::vector<std::uint32_t>& predicted_counts() const {
+    return last_count_;
+  }
+
  private:
-  void note_deliveries(const WorldView& world, const FaultPlan& plan);
+  void note_deliveries(const WorldView& world, const FaultPlan& plan,
+                       std::uint32_t senders);
 
   CoinBiasOptions opts_;
   Xoshiro256 rng_;
   /// Predicted N^{r-1} per receiver (the adversary has full information and
-  /// replays the deliveries it allowed).
+  /// computes the counts its own plan leaves, in closed form).
   std::vector<std::uint32_t> last_count_;
   std::uint32_t crashes_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros

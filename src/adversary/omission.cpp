@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "net/fabric.hpp"
 
 namespace synran {
 
@@ -82,7 +81,7 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
 
   const std::uint32_t budget = world.omission_round_budget();
   if (budget == 0 || senders == 0 || det_senders == senders) {
-    note_deliveries(world, plan);
+    note_deliveries(world, plan, senders);
     return plan;
   }
 
@@ -101,7 +100,7 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
     }
   }
   if (first) {
-    note_deliveries(world, plan);
+    note_deliveries(world, plan, senders);
     return plan;
   }
 
@@ -164,22 +163,26 @@ FaultPlan OmissionAdversary::plan_round(const WorldView& world) {
   // omissions can only dent for one round at a time. Stand down.
 
   omissions_spent_ += static_cast<std::uint32_t>(plan.omission_count());
-  note_deliveries(world, plan);
+  note_deliveries(world, plan, senders);
   return plan;
 }
 
 void OmissionAdversary::note_deliveries(const WorldView& world,
-                                        const FaultPlan& plan) {
-  // Replay the delivery we just allowed (omissions included) so next round's
-  // thresholds use the receivers' true N^{r-1}.
-  const std::uint32_t n = world.n();
+                                        const FaultPlan& plan,
+                                        std::uint32_t senders) {
+  // Predict the N^{r-1} this round leaves each receiver, so next round's
+  // thresholds use the true counts. Every omission issued above shares one
+  // drop_for mask (`hidden_from` or `half`), so a receiver hears every
+  // sender except the k suppressed ones if the mask holds it: O(n), no
+  // delivery replay.
+  const auto k = static_cast<std::uint32_t>(plan.omission_count());
+  const DynBitset* shared = k != 0 ? &plan.omissions.front().drop_for : nullptr;
+  for (const auto& o : plan.omissions) SYNRAN_CHECK(o.drop_for == *shared);
   DynBitset receivers = world.alive();
   world.halted().for_each_set([&](std::size_t i) { receivers.reset(i); });
-
-  RoundTraffic traffic{world.payloads(), &plan};
-  const auto receipts = deliver(n, traffic, receivers);
-  receivers.for_each_set(
-      [&](std::size_t i) { last_count_[i] = receipts[i].count; });
+  receivers.for_each_set([&](std::size_t i) {
+    last_count_[i] = senders - (shared != nullptr && shared->test(i) ? k : 0);
+  });
 }
 
 }  // namespace synran

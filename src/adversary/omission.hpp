@@ -92,13 +92,22 @@ class OmissionAdversary final : public Adversary {
 
   std::uint32_t omissions_spent() const { return omissions_spent_; }
 
+  /// Predicted N^{r-1} per process after the latest plan_round: the message
+  /// count that plan leaves each receiver (alive, not halted). Entries of
+  /// other processes keep their earlier value.
+  const std::vector<std::uint32_t>& predicted_counts() const {
+    return last_count_;
+  }
+
  private:
-  void note_deliveries(const WorldView& world, const FaultPlan& plan);
+  void note_deliveries(const WorldView& world, const FaultPlan& plan,
+                       std::uint32_t senders);
 
   OmissionAttackOptions opts_;
   Xoshiro256 rng_;
-  /// Predicted N^{r-1} per receiver (full information: the adversary replays
-  /// the deliveries it allowed, omissions included).
+  /// Predicted N^{r-1} per receiver (full information: the adversary
+  /// computes the counts its own plan leaves, omissions included, in closed
+  /// form).
   std::vector<std::uint32_t> last_count_;
   std::uint32_t omissions_spent_ = 0;
   bool split_parity_ = false;  ///< alternates which half gets hidden zeros

@@ -63,6 +63,15 @@ class DynBitset {
 
   bool none() const { return !any(); }
 
+  /// Popcount of (*this & o) without materializing the intersection.
+  std::size_t count_and(const DynBitset& o) const {
+    SYNRAN_CHECK(n_ == o.n_);
+    std::size_t c = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i)
+      c += static_cast<std::size_t>(std::popcount(words_[i] & o.words_[i]));
+    return c;
+  }
+
   DynBitset& operator&=(const DynBitset& o) {
     SYNRAN_CHECK(n_ == o.n_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
@@ -95,6 +104,21 @@ class DynBitset {
   void for_each_set(F&& f) const {
     for (std::size_t wi = 0; wi < words_.size(); ++wi) {
       std::uint64_t w = words_[wi];
+      while (w) {
+        const int b = std::countr_zero(w);
+        f(wi * 64 + static_cast<std::size_t>(b));
+        w &= w - 1;
+      }
+    }
+  }
+
+  /// Calls `f(index)` for each bit set in both *this and `o`, in increasing
+  /// order, without materializing the intersection.
+  template <typename F>
+  void for_each_set_and(const DynBitset& o, F&& f) const {
+    SYNRAN_CHECK(n_ == o.n_);
+    for (std::size_t wi = 0; wi < words_.size(); ++wi) {
+      std::uint64_t w = words_[wi] & o.words_[wi];
       while (w) {
         const int b = std::countr_zero(w);
         f(wi * 64 + static_cast<std::size_t>(b));

@@ -77,6 +77,16 @@ RepOutcome attempt_rep(const ProcessFactory& factory,
   return out;
 }
 
+constexpr std::size_t kNoFailure = static_cast<std::size_t>(-1);
+
+/// Lowers `first_failed` to `rep` unless a lower rep already failed.
+void note_failure(std::atomic<std::size_t>& first_failed, std::size_t rep) {
+  std::size_t seen = first_failed.load(std::memory_order_relaxed);
+  while (rep < seen && !first_failed.compare_exchange_weak(
+                           seen, rep, std::memory_order_relaxed)) {
+  }
+}
+
 [[noreturn]] void throw_interrupted(std::size_t completed, std::size_t reps) {
   throw Interrupted("stop requested: batch interrupted after " +
                     std::to_string(completed) + " of " + std::to_string(reps) +
@@ -127,12 +137,15 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
   }
 
   // Parallel path. Workers fill disjoint slots of `outcomes`; the only
-  // shared mutable state is the fail-fast flag below and the (monotonic)
+  // shared mutable state is the fail-fast index below and the (monotonic)
   // stop flag. A stop request lets every worker finish its in-flight rep,
   // then the batch throws after the join.
   std::vector<RepOutcome> outcomes(spec.reps);
   std::vector<unsigned char> done(spec.reps, 0);
-  std::atomic<bool> failed{false};
+  // Lowest rep index known to have failed (fail-fast only). A worker skips
+  // just the reps above it, so the earliest failing rep always runs and is
+  // the one reported, whichever worker fails first in wall time.
+  std::atomic<std::size_t> first_failed{kNoFailure};
 
   const bool observed = spec.engine.observer != nullptr;
 
@@ -141,7 +154,8 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
     Engine engine(ws);
     for (std::size_t rep = w; rep < spec.reps; rep += threads) {
       if (stop_requested()) return;
-      if (!quarantine && failed.load(std::memory_order_relaxed)) return;
+      if (!quarantine && rep > first_failed.load(std::memory_order_relaxed))
+        return;
       if (observed) {
         // Buffer the rep's callback stream privately; the fold below
         // replays the buffers into the real observer in rep order, so the
@@ -158,7 +172,7 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
       }
       done[rep] = 1;
       if (!outcomes[rep].ok && !quarantine) {
-        failed.store(true, std::memory_order_relaxed);
+        note_failure(first_failed, rep);
         return;
       }
     }
@@ -175,16 +189,13 @@ RepeatedRunStats BatchExecutor::run(const ProcessFactory& factory,
     throw_interrupted(completed, spec.reps);
   }
 
-  if (failed.load()) {
-    // Deterministic error selection: report the earliest failing rep,
-    // regardless of which worker hit its error first in wall time.
-    for (std::size_t rep = 0; rep < spec.reps; ++rep) {
-      if (done[rep] != 0 && !outcomes[rep].ok) {
-        throw RepError(rep, outcomes[rep].failure.seed,
-                       outcomes[rep].failure.error);
-      }
-    }
-    SYNRAN_CHECK_MSG(false, "fail-fast flag set without a recorded failure");
+  if (const std::size_t rep = first_failed.load(); rep != kNoFailure) {
+    // Deterministic error selection: every rep below `rep` ran and passed,
+    // so this is the earliest failing rep at any thread count.
+    SYNRAN_CHECK_MSG(done[rep] != 0 && !outcomes[rep].ok,
+                     "fail-fast index names a rep without a recorded failure");
+    throw RepError(rep, outcomes[rep].failure.seed,
+                   outcomes[rep].failure.error);
   }
 
   // Fold in rep order — the serial run's exact floating-point sequence —

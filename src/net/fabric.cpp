@@ -149,6 +149,50 @@ void apply_link_faults(std::uint32_t n, const RoundTraffic& traffic,
   });
 }
 
+/// Adds each crash victim's payload to the receivers its `deliver_to` still
+/// reaches. Victims sharing a mask (CoinBias hands hundreds of them one
+/// `half` or `reserve` mask) are first summed into one group — a flat
+/// open-addressing table keyed by the mask's hash, each hit confirmed by
+/// word equality — so every distinct mask's set bits are walked once:
+/// O(k·n/64) to hash and confirm k masks plus Σ|distinct mask|. Counts add
+/// and masks OR, so the grouping cannot change a receipt.
+void add_crash_deliveries(const RoundTraffic& traffic,
+                          const DynBitset& receivers,
+                          std::vector<Receipt>& out) {
+  struct Group {
+    const DynBitset* mask;
+    std::uint64_t hash;
+    Receipt sum;
+  };
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  const auto& crashes = traffic.plan->crashes;
+  std::vector<Group> groups;
+  std::vector<std::uint32_t> slots(std::bit_ceil(2 * crashes.size()), kEmpty);
+  const std::size_t slot_mask = slots.size() - 1;
+  for (const auto& c : crashes) {
+    const std::uint64_t h = c.deliver_to.hash();
+    std::size_t s = h & slot_mask;
+    while (slots[s] != kEmpty && (groups[slots[s]].hash != h ||
+                                  *groups[slots[s]].mask != c.deliver_to)) {
+      s = (s + 1) & slot_mask;
+    }
+    if (slots[s] == kEmpty) {
+      slots[s] = static_cast<std::uint32_t>(groups.size());
+      groups.push_back({&c.deliver_to, h, Receipt{}});
+    }
+    accumulate(groups[slots[s]].sum, *traffic.payloads[c.victim]);
+  }
+  for (const auto& g : groups) {
+    g.mask->for_each_set_and(receivers, [&](std::size_t i) {
+      Receipt& r = out[i];
+      r.count += g.sum.count;
+      r.ones += g.sum.ones;
+      r.zeros += g.sum.zeros;
+      r.or_mask |= g.sum.or_mask;
+    });
+  }
+}
+
 }  // namespace
 
 std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,
@@ -180,14 +224,8 @@ std::vector<Receipt> deliver(std::uint32_t n, const RoundTraffic& traffic,
     apply_link_faults(n, traffic, receivers, crashed_now, full, out);
   }
 
-  // Per-receiver adjustments for partially delivered senders.
-  if (traffic.plan != nullptr) {
-    for (const auto& c : traffic.plan->crashes) {
-      const Payload p = *traffic.payloads[c.victim];
-      c.deliver_to.for_each_set([&](std::size_t i) {
-        if (receivers.test(i)) accumulate(out[i], p);
-      });
-    }
+  if (traffic.plan != nullptr && !traffic.plan->crashes.empty()) {
+    add_crash_deliveries(traffic, receivers, out);
   }
   return out;
 }

@@ -3,16 +3,18 @@
 // The fast path exploits that almost all senders deliver to *everyone*: it
 // aggregates full-delivery senders once (O(n)) and then adjusts per receiver
 // only for the few partially-delivered senders — crashed-this-round victims
-// add their payload to the recipients that still hear them, omission senders
+// add their payload to the recipients that still hear them (victims with
+// equal deliver_to masks are summed first, so each distinct mask is walked
+// once however many victims share it), omission senders
 // (live, but suppressed for a drop set) have their deliveries *subtracted*
 // from the aggregate, and corruption senders have the true payload swapped
 // for each target's forged one (subtract truth, add forgery; `count` stays
 // put because the message still arrives), with the non-invertible or_mask
 // rebuilt exactly from per-bit sender counts and forged masks OR'd back on
-// top. Total cost stays
-// O(n + faults·n_bits/64 + Σ|partial recipients| + Σ|faulted links|) per
-// round instead of the naive O(n²). A deliberately naive reference
-// implementation is provided for cross-checking in tests.
+// top. With k crash victims, total cost stays
+// O(n + k·n/64 + Σ over distinct deliver_to masks of |mask| + Σ|faulted
+// links|) per round instead of the naive O(n²). A deliberately naive
+// reference implementation is provided for cross-checking in tests.
 #pragma once
 
 #include <optional>

@@ -168,7 +168,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
       });
       round_delivered = sum.messages_delivered - before;
       for (const auto& o : plan.omissions)
-        round_omitted += (o.drop_for & active).count();
+        round_omitted += o.drop_for.count_and(active);
       for (const auto& cd : plan.corruptions)
         for (const auto& fg : cd.forgeries)
           if (active.test(fg.target)) ++round_corrupted;

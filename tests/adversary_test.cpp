@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "adversary/basic.hpp"
+#include "adversary/byzantine.hpp"
 #include "adversary/coinbias.hpp"
+#include "adversary/omission.hpp"
 #include "adversary/valency.hpp"
 #include "analysis/theory.hpp"
+#include "net/fabric.hpp"
 #include "protocols/floodmin.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
@@ -230,6 +236,125 @@ TEST(ValencySamplingTest, SafeAndBudgetDisciplined) {
   EXPECT_TRUE(res.agreement);
   EXPECT_LE(res.crashes_total, 8u);
   for (auto c : res.crashes_per_round) EXPECT_LE(c, 4u);
+}
+
+// ------------------------------------------- closed-form N^{r-1} prediction
+
+/// What a PredictionProbe saw over one run.
+struct ProbeTally {
+  std::uint32_t rounds_with_directives = 0;
+  std::uint32_t mismatches = 0;
+  std::string first_mismatch;
+
+  void expect_exact() const {
+    EXPECT_EQ(mismatches, 0u) << first_mismatch;
+    EXPECT_GT(rounds_with_directives, 0u) << "probe never saw a fault";
+  }
+};
+
+/// Forwards to a counting adversary (CoinBias or OmissionAdversary) and,
+/// after every plan_round, replays the plan that adversary just issued
+/// through deliver_naive: its predicted N^{r-1} must equal the replayed
+/// count of every receiver. Wrapped inside Chaos/Byzantine layers it still
+/// sees only the inner adversary's own plan, which is what the prediction
+/// covers.
+template <typename Predictor>
+class PredictionProbe final : public Adversary {
+ public:
+  PredictionProbe(Predictor inner, ProbeTally& tally)
+      : inner_(std::move(inner)), tally_(tally) {}
+
+  void begin(std::uint32_t n, std::uint32_t t_budget) override {
+    inner_.begin(n, t_budget);
+  }
+
+  FaultPlan plan_round(const WorldView& world) override {
+    FaultPlan plan = inner_.plan_round(world);
+    DynBitset receivers = world.alive();
+    for (const auto& c : plan.crashes) receivers.reset(c.victim);
+    world.halted().for_each_set([&](std::size_t i) { receivers.reset(i); });
+    const RoundTraffic traffic{world.payloads(), &plan};
+    const auto receipts = deliver_naive(world.n(), traffic, receivers);
+    const auto& predicted = inner_.predicted_counts();
+    receivers.for_each_set([&](std::size_t i) {
+      if (predicted[i] == receipts[i].count) return;
+      if (tally_.mismatches++ == 0) {
+        std::ostringstream os;
+        os << "round " << world.round() << " process " << i << ": predicted "
+           << predicted[i] << ", replay " << receipts[i].count;
+        tally_.first_mismatch = os.str();
+      }
+    });
+    if (!plan.empty()) ++tally_.rounds_with_directives;
+    return plan;
+  }
+
+  const char* name() const override { return inner_.name(); }
+
+ private:
+  Predictor inner_;
+  ProbeTally& tally_;
+};
+
+template <typename Predictor>
+std::unique_ptr<Adversary> probe(Predictor inner, ProbeTally& tally) {
+  return std::make_unique<PredictionProbe<Predictor>>(std::move(inner),
+                                                      tally);
+}
+
+EngineOptions prediction_options(std::uint32_t n, std::uint64_t seed) {
+  EngineOptions opts;
+  opts.t_budget = n - 1;
+  opts.omission_budget = 40 * n;
+  opts.seed = seed;
+  opts.max_rounds = 20000;
+  return opts;
+}
+
+TEST(CountPrediction, StandaloneAttackersMatchNaiveReplay) {
+  SynRanFactory factory;
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    for (std::uint32_t n : {16u, 65u, 128u}) {
+      const EngineOptions opts = prediction_options(n, seed);
+      ProbeTally crashes, omissions;
+      run_once(factory, half_inputs(n),
+               *probe(CoinBiasAdversary({0.55, true, seed}), crashes), opts);
+      run_once(factory, half_inputs(n),
+               *probe(OmissionAdversary({0.55, seed}), omissions), opts);
+      crashes.expect_exact();
+      omissions.expect_exact();
+    }
+  }
+}
+
+TEST(CountPrediction, AttackersUnderChaosAndByzantineLayers) {
+  SynRanFactory factory;
+  const std::uint32_t n = 96;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    EngineOptions opts = prediction_options(n, seed);
+    opts.omission_budget = 100000;
+    opts.byzantine_budget = 100000;
+
+    ProbeTally under_chaos, under_both, omission_under_byz;
+    ChaosAdversary chaos(
+        {0.05, seed},
+        probe(CoinBiasAdversary({0.55, true, seed}), under_chaos));
+    run_once(factory, half_inputs(n), chaos, opts);
+    ByzantineAdversary both(
+        {0.05, seed},
+        std::make_unique<ChaosAdversary>(
+            ChaosOptions{0.02, seed},
+            probe(CoinBiasAdversary({0.55, true, seed}), under_both)));
+    run_once(factory, half_inputs(n), both, opts);
+    ByzantineAdversary byz(
+        {0.05, seed},
+        probe(OmissionAdversary({0.55, seed}), omission_under_byz));
+    run_once(factory, half_inputs(n), byz, opts);
+
+    under_chaos.expect_exact();
+    under_both.expect_exact();
+    omission_under_byz.expect_exact();
+  }
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "async/benor.hpp"
 #include "async/core.hpp"
 #include "common/check.hpp"
+#include "fail_fast_race.hpp"
 #include "obs/trace_writer.hpp"
 #include "runner/experiment.hpp"
 
@@ -156,6 +157,24 @@ TEST(AsyncExecFailures, FailFastThrowsEarliestRep) {
       EXPECT_EQ(e.rep(), 0u) << "earliest failing rep not selected";
       EXPECT_EQ(e.seed(), engine_seed_for_rep(spec.seed, 0));
     }
+  }
+}
+
+TEST(AsyncExecFailures, EarliestFailureRunsEvenWhenALaterRepFailsFirst) {
+  const BenOrAsyncFactory factory;
+  AsyncRepeatSpec spec = base_spec(4321, FailFastRace::kThreads);
+  spec.reps = FailFastRace::kReps;
+  FailFastRace race(spec.seed);
+  const AsyncSchedulerFactory random = random_scheduler_factory();
+  const AsyncSchedulerFactory faulty =
+      race.factory<AsyncScheduler>([&] { return random(1); });
+  try {
+    run_repeated_async(factory, faulty, held_delay_factory(), spec);
+    FAIL() << "expected the rep-2 failure";
+  } catch (const RepError& e) {
+    EXPECT_EQ(e.rep(), FailFastRace::kReportedRep) << e.what();
+    EXPECT_EQ(e.seed(),
+              engine_seed_for_rep(spec.seed, FailFastRace::kReportedRep));
   }
 }
 

@@ -311,6 +311,29 @@ TEST(DynBitsetTest, EqualityAndHash) {
 TEST(DynBitsetTest, MismatchedSizesThrow) {
   DynBitset a(10), b(11);
   EXPECT_THROW(a &= b, InvariantError);
+  EXPECT_THROW((void)a.count_and(b), InvariantError);
+}
+
+TEST(DynBitsetTest, CountAndMatchesMaterializedIntersection) {
+  for (std::size_t n : {1u, 63u, 64u, 65u, 1024u}) {
+    Xoshiro256 rng(n);
+    DynBitset a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (rng.flip()) a.set(i);
+      if (rng.flip()) b.set(i);
+    }
+    const DynBitset both = a & b;
+    EXPECT_EQ(a.count_and(b), both.count()) << "n=" << n;
+    EXPECT_EQ(b.count_and(a), both.count()) << "n=" << n;
+    EXPECT_EQ(a.count_and(DynBitset(n)), 0u) << "n=" << n;
+    EXPECT_EQ(a.count_and(DynBitset(n, true)), a.count()) << "n=" << n;
+    EXPECT_EQ(DynBitset(n, true).count_and(DynBitset(n, true)), n);
+
+    std::vector<std::size_t> expected, seen;
+    both.for_each_set([&](std::size_t i) { expected.push_back(i); });
+    a.for_each_set_and(b, [&](std::size_t i) { seen.push_back(i); });
+    EXPECT_EQ(seen, expected) << "n=" << n;
+  }
 }
 
 // ------------------------------------------------------------------- Table

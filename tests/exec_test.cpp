@@ -17,6 +17,7 @@
 #include "common/check.hpp"
 #include "exec/executor.hpp"
 #include "exec/stopper.hpp"
+#include "fail_fast_race.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace_writer.hpp"
 #include "protocols/synran.hpp"
@@ -315,6 +316,24 @@ TEST(ExecErrors, EarliestRepFailureWinsAtAnyThreadCount) {
       EXPECT_EQ(e.rep(), 3u);
       EXPECT_EQ(e.seed(), rep3_engine_seed);
     }
+  }
+}
+
+TEST(ExecErrors, EarliestFailureRunsEvenWhenALaterRepFailsFirst) {
+  SynRanFactory protocol;
+  RepeatSpec spec = base_spec(InputPattern::Half, 4321);
+  spec.reps = FailFastRace::kReps;
+  spec.threads = FailFastRace::kThreads;
+  FailFastRace race(spec.seed);
+  const AdversaryFactory faulty = race.factory<Adversary>(
+      [] { return std::make_unique<NoAdversary>(); });
+  try {
+    run_repeated(protocol, faulty, spec);
+    FAIL() << "expected the rep-2 failure";
+  } catch (const RepError& e) {
+    EXPECT_EQ(e.rep(), FailFastRace::kReportedRep) << e.what();
+    EXPECT_EQ(e.seed(),
+              engine_seed_for_rep(spec.seed, FailFastRace::kReportedRep));
   }
 }
 

@@ -55,7 +55,9 @@ TEST(KFloodMinTest, KaryDecisionIsAgreedUnderCrashes) {
     // k-ary agreement is checked through decision_value in the unit test
     // below, here we check the runs complete and nobody is undecided.
     for (std::size_t i = 0; i < 6; ++i) {
-      if (!res.crashed[i]) EXPECT_TRUE(res.decided[i]) << "seed " << seed;
+      if (!res.crashed[i]) {
+        EXPECT_TRUE(res.decided[i]) << "seed " << seed;
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 // equivalence of the fast delivery path with the naive reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -491,6 +492,92 @@ TEST_P(CorruptFabricEquivalence, FastMatchesNaive) {
 
 INSTANTIATE_TEST_SUITE_P(MixedFaultTraffic, CorruptFabricEquivalence,
                          ::testing::Range<std::uint64_t>(1, 66));
+
+// Property: fast path == naive path when many crash victims share a few
+// deliver_to masks — the grouped path, where victims with equal masks are
+// summed before a single walk. Masks come in the shapes the adversaries
+// build (empty, CoinBias's alternating `half`, its every-fifth `reserve`)
+// plus a random one, assigned to victims interleaved so equal masks are
+// not adjacent; omissions and corruptions ride along on the remaining
+// senders. Sizes straddle the 64-bit word boundary and reach n = 1024.
+class GroupedCrashFabricEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GroupedCrashFabricEquivalence, FastMatchesNaive) {
+  constexpr std::uint32_t kSizes[] = {63, 64, 65, 1024};
+  Xoshiro256 rng(GetParam() * 0x9e3779b97f4a7c15ULL + 5);
+  const std::uint32_t n = kSizes[GetParam() % 4];
+
+  std::vector<std::optional<Payload>> payloads(n);
+  std::vector<ProcessId> senders;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (rng.uniform() < 0.9) {
+      payloads[i] = rng.next() & 0x7;
+      senders.push_back(i);
+    }
+  }
+  for (std::size_t k = 0; k < senders.size(); ++k) {
+    std::swap(senders[k], senders[k + rng.below(senders.size() - k)]);
+  }
+
+  DynBitset live(n);
+  for (std::uint32_t i = 0; i < n; ++i)
+    if (rng.uniform() < 0.85) live.set(i);
+  std::vector<DynBitset> shapes;
+  shapes.emplace_back(n);  // reaches nobody
+  DynBitset half(n), reserve(n), random(n);
+  bool tick = rng.flip();
+  std::uint32_t fifth = static_cast<std::uint32_t>(rng.below(5));
+  live.for_each_set([&](std::size_t i) {
+    if (tick) half.set(i);
+    tick = !tick;
+    if (fifth++ % 5 == 0) reserve.set(i);
+    if (rng.flip()) random.set(i);
+  });
+  shapes.push_back(half);
+  shapes.push_back(reserve);
+  shapes.push_back(random);
+  const std::size_t in_use = 1 + rng.below(shapes.size());
+
+  // Victims take most of the senders; the rest are left for link faults.
+  FaultPlan plan;
+  DynBitset receivers = live;
+  const std::size_t victims = senders.size() * 3 / 4;
+  for (std::size_t k = 0; k < victims; ++k) {
+    const ProcessId v = senders[k];
+    plan.crashes.push_back({v, shapes[rng.below(in_use)]});
+    receivers.reset(v);
+  }
+  std::size_t used = victims;
+  const std::size_t omissions =
+      std::min<std::size_t>(senders.size() - used, rng.below(6));
+  for (std::size_t k = 0; k < omissions; ++k, ++used) {
+    // Omissions alternate between two shared drop sets.
+    plan.omissions.push_back(
+        {senders[used], k % 2 == 0 ? shapes[1] : shapes[3]});
+  }
+  const std::size_t corruptions =
+      std::min<std::size_t>(senders.size() - used, rng.below(4));
+  for (std::size_t k = 0; k < corruptions; ++k, ++used) {
+    CorruptionDirective cd;
+    cd.sender = senders[used];
+    for (std::uint32_t r = 0; r < n; r += 1 + static_cast<std::uint32_t>(
+                                               rng.below(n / 8 + 1))) {
+      cd.forgeries.push_back({r, rng.next() & 0x3ff});
+    }
+    plan.corruptions.push_back(std::move(cd));
+  }
+
+  RoundTraffic traffic{payloads, &plan};
+  const auto fast = deliver(n, traffic, receivers);
+  const auto naive = deliver_naive(n, traffic, receivers);
+  ASSERT_EQ(fast.size(), naive.size());
+  for (std::uint32_t i = 0; i < n; ++i)
+    ASSERT_EQ(fast[i], naive[i]) << "receiver " << i << " n=" << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedMasks, GroupedCrashFabricEquivalence,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 }  // namespace
 }  // namespace synran

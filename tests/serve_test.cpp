@@ -18,12 +18,15 @@
 #include <string>
 #include <vector>
 
+#include "adversary/basic.hpp"
 #include "exec/stopper.hpp"
+#include "fail_fast_race.hpp"
 #include "obs/atomic_file.hpp"
 #include "obs/io_error.hpp"
 #include "obs/json.hpp"
 #include "serve/cache.hpp"
 #include "serve/frame.hpp"
+#include "serve/plan.hpp"
 #include "serve/request.hpp"
 #include "serve/server.hpp"
 
@@ -387,6 +390,26 @@ TEST(Server, ComputeHitAndRestartResponsesAreByteIdentical) {
   const JsonValue resp = parse_json(computed.bodies.at(0));
   EXPECT_TRUE(resp.find("ok")->as_bool());
   EXPECT_EQ(resp.find("result")->find("reps")->as_int(), 3);
+}
+
+TEST(Server, FailFastReportsTheEarliestFailingRepAtTwoThreads) {
+  // The daemon computes a miss through build_plan + execute_plan and
+  // answers run_failed with the RepError text, so the reported rep must be
+  // the earliest failing one even when a later rep fails first.
+  const ServeRequest req = parse_request(
+      R"({"schema":"synran-req/1","id":"race","cmd":"run","config":)"
+      R"({"model":"sync","n":8,"reps":6,"seed":11}})");
+  RunPlan plan = build_plan(req.config, FailFastRace::kThreads);
+  ASSERT_EQ(plan.spec.reps, FailFastRace::kReps);
+  FailFastRace race(plan.spec.seed);
+  plan.adversaries = race.factory<Adversary>(
+      [] { return std::make_unique<NoAdversary>(); });
+  try {
+    execute_plan(plan);
+    FAIL() << "expected the rep-2 failure";
+  } catch (const RepError& e) {
+    EXPECT_EQ(e.rep(), FailFastRace::kReportedRep) << e.what();
+  }
 }
 
 TEST(Server, ProtocolErrorAnswersOnceAndExitsNonzero) {

@@ -129,6 +129,10 @@ wait "$DAEMON" 2>/dev/null
 wait "$CLIENT" 2>/dev/null
 DAEMON=
 printf '{"schema":"synran-ck' > "$CACHE/00deadbeef00dead.ckpt"  # torn entry
+# The killed daemon left its socket file behind; remove it so start_daemon
+# waits for the new daemon's own socket, which it binds only after
+# recover() has logged.
+rm -f "$SOCK"
 start_daemon
 grep -q "1 quarantined" serve.log || fail "torn cache entry not quarantined"
 [ -e "$CACHE/00deadbeef00dead.ckpt.quarantined" ] \
