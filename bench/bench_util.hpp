@@ -571,7 +571,7 @@ inline RepeatedRunStats run_cell(const ProcessFactory& factory,
                                  const AdversaryFactory& adversaries,
                                  RepeatSpec spec, const std::string& tag) {
   spec.policy = bench_fail_policy(spec.policy);
-  spec.engine.max_rep_retries = bench_rep_retries(spec.engine.max_rep_retries);
+  spec.max_rep_retries = bench_rep_retries(spec.max_rep_retries);
 
   auto& ckpt = CheckpointState::instance();
   const std::uint64_t cell = ckpt.next_cell();

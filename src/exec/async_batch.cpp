@@ -1,10 +1,6 @@
 #include "exec/async_batch.hpp"
 
 #include <string>
-#include <utility>
-
-#include "common/check.hpp"
-#include "obs/checkpoint.hpp"
 
 namespace synran {
 
@@ -54,23 +50,16 @@ AsyncDelayFactory gst_delay_factory(SimTime gst, SimTime bound) {
   };
 }
 
-AsyncRunStats::AsyncRunStats() {
-  // Pre-register so a zero-rep aggregate reads back as zeros.
-  metrics_.summary("rounds_to_decision");
-  metrics_.summary("ticks_to_decision");
-  metrics_.summary("crashes_used");
-  metrics_.summary("messages_delivered");
-  metrics_.summary("coin_flips");
-  metrics_.summary("timers_fired");
-  metrics_.summary("omissions_used");
-  metrics_.summary("messages_omitted");
-  metrics_.counter("reps");
-  metrics_.counter("agreement_failures");
-  metrics_.counter("validity_failures");
-  metrics_.counter("non_terminated");
-  metrics_.counter("decided_one");
-  metrics_.counter("reps_quarantined");
-}
+namespace {
+
+constexpr const char* kAsyncSummaries[] = {
+    "rounds_to_decision", "ticks_to_decision", "crashes_used",
+    "messages_delivered", "coin_flips",        "timers_fired",
+    "omissions_used",     "messages_omitted"};
+
+}  // namespace
+
+AsyncRunStats::AsyncRunStats() : BatchStats(kAsyncSummaries) {}
 
 void AsyncRunStats::add(const AsyncRunResult& rep) {
   metrics_.counter("reps").inc();
@@ -98,11 +87,6 @@ void AsyncRunStats::add(const AsyncRunResult& rep) {
     metrics_.counter("decided_one").inc();
 }
 
-void AsyncRunStats::note_quarantined(RepFailure failure) {
-  metrics_.counter("reps_quarantined").inc();
-  failures_.push_back(std::move(failure));
-}
-
 const Summary& AsyncRunStats::rounds_to_decision() const {
   return metrics_.summary_at("rounds_to_decision");
 }
@@ -127,82 +111,10 @@ const Summary& AsyncRunStats::omissions_used() const {
 const Summary& AsyncRunStats::messages_omitted() const {
   return metrics_.summary_at("messages_omitted");
 }
-std::size_t AsyncRunStats::reps() const {
-  return metrics_.counter_at("reps").value();
-}
-std::size_t AsyncRunStats::agreement_failures() const {
-  return metrics_.counter_at("agreement_failures").value();
-}
-std::size_t AsyncRunStats::validity_failures() const {
-  return metrics_.counter_at("validity_failures").value();
-}
-std::size_t AsyncRunStats::non_terminated() const {
-  return metrics_.counter_at("non_terminated").value();
-}
-std::size_t AsyncRunStats::decided_one() const {
-  return metrics_.counter_at("decided_one").value();
-}
-std::size_t AsyncRunStats::reps_quarantined() const {
-  return metrics_.counter_at("reps_quarantined").value();
-}
-
-obs::JsonValue AsyncRunStats::checkpoint_json() const {
-  obs::JsonValue failures = obs::JsonValue::array();
-  for (const RepFailure& f : failures_) failures.push(f.to_json());
-  return obs::JsonValue::object()
-      .set("stats", obs::registry_snapshot(metrics_))
-      .set("failures", std::move(failures));
-}
 
 AsyncRunStats AsyncRunStats::from_checkpoint(const obs::JsonValue& payload) {
-  SYNRAN_REQUIRE(payload.is_object(),
-                 "async stats checkpoint payload must be an object");
-  const obs::JsonValue* stats = payload.find("stats");
-  const obs::JsonValue* failures = payload.find("failures");
-  SYNRAN_REQUIRE(stats != nullptr && failures != nullptr &&
-                     failures->is_array(),
-                 "async stats checkpoint payload needs 'stats' and "
-                 "'failures'");
-
   AsyncRunStats restored;
-  restored.metrics_ = obs::registry_restore(*stats);
-  // Every accessor the harnesses read must resolve; a snapshot that lost a
-  // pre-registered metric is a foreign or corrupt payload (e.g. a sync
-  // cell's snapshot served to an async sweep).
-  for (const char* name :
-       {"rounds_to_decision", "ticks_to_decision", "crashes_used",
-        "messages_delivered", "coin_flips", "timers_fired", "omissions_used",
-        "messages_omitted"}) {
-    SYNRAN_REQUIRE(
-        restored.metrics_.has_summary(name),
-        std::string("async stats checkpoint missing summary: ") + name);
-  }
-  for (const char* name :
-       {"reps", "agreement_failures", "validity_failures", "non_terminated",
-        "decided_one", "reps_quarantined"}) {
-    SYNRAN_REQUIRE(
-        restored.metrics_.has_counter(name),
-        std::string("async stats checkpoint missing counter: ") + name);
-  }
-
-  for (const obs::JsonValue& entry : failures->as_array()) {
-    const obs::JsonValue* rep = entry.find("rep");
-    const obs::JsonValue* seed = entry.find("seed");
-    const obs::JsonValue* attempts = entry.find("attempts");
-    const obs::JsonValue* error = entry.find("error");
-    SYNRAN_REQUIRE(rep != nullptr && rep->is_int() && rep->as_int() >= 0 &&
-                       seed != nullptr && seed->is_int() &&
-                       attempts != nullptr && attempts->is_int() &&
-                       attempts->as_int() >= 1 && error != nullptr &&
-                       error->is_string(),
-                   "async stats checkpoint failure entry malformed");
-    restored.failures_.push_back(RepFailure{
-        static_cast<std::size_t>(rep->as_int()),
-        static_cast<std::uint64_t>(seed->as_int()),
-        static_cast<std::uint32_t>(attempts->as_int()), error->as_string()});
-  }
-  SYNRAN_REQUIRE(restored.failures_.size() == restored.reps_quarantined(),
-                 "async stats checkpoint failure list disagrees with counter");
+  restored.restore(payload, "async stats", kAsyncSummaries);
   return restored;
 }
 

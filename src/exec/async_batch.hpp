@@ -55,24 +55,19 @@ AsyncDelayFactory uniform_delay_factory(SimTime lo, SimTime hi);
 /// the DLS partial-synchrony link model.
 AsyncDelayFactory gst_delay_factory(SimTime gst, SimTime bound);
 
-/// Aggregate over repeated async executions, registry-backed like
-/// RepeatedRunStats so a whole batch serializes via metrics().to_json().
+/// Aggregate over repeated async executions; the verdict counters,
+/// quarantine list and checkpoint round trip come from BatchStats.
 ///
-/// Registry contents:
-///   summaries  rounds_to_decision, ticks_to_decision (terminated reps),
-///              crashes_used, messages_delivered, coin_flips, timers_fired,
-///              omissions_used, messages_omitted (all reps)
-///   counters   reps, agreement_failures, validity_failures,
-///              non_terminated, decided_one, reps_quarantined
-class AsyncRunStats {
+/// Registry summaries: rounds_to_decision, ticks_to_decision (terminated
+/// reps), crashes_used, messages_delivered, coin_flips, timers_fired,
+/// omissions_used, messages_omitted (all reps).
+class AsyncRunStats : public BatchStats {
  public:
   AsyncRunStats();
 
   /// Folds one repetition in. Fold order fixes the floating-point sequence;
   /// parallel batches fold in rep order to match the serial run exactly.
   void add(const AsyncRunResult& rep);
-
-  void note_quarantined(RepFailure failure);
 
   const Summary& rounds_to_decision() const;
   /// Simulated ticks until the last live process decided (terminated reps;
@@ -85,35 +80,8 @@ class AsyncRunStats {
   const Summary& omissions_used() const;
   const Summary& messages_omitted() const;
 
-  std::size_t reps() const;
-  std::size_t agreement_failures() const;
-  std::size_t validity_failures() const;
-  std::size_t non_terminated() const;
-  std::size_t decided_one() const;
-  std::size_t reps_quarantined() const;
-
-  const std::vector<RepFailure>& failures() const { return failures_; }
-
-  bool all_safe() const {
-    return agreement_failures() == 0 && validity_failures() == 0 &&
-           non_terminated() == 0;
-  }
-
-  /// Exact snapshot for the synran-ckpt/1 ledger (registry snapshot +
-  /// quarantine list), the async mirror of
-  /// RepeatedRunStats::checkpoint_json: a restored aggregate reproduces the
-  /// original report byte-for-byte.
-  obs::JsonValue checkpoint_json() const;
-  /// Inverse of checkpoint_json(). Throws ArgumentError on a malformed or
-  /// foreign payload (missing pre-registered metrics, bad failure entries).
+  /// Inverse of checkpoint_json(); errors read "async stats checkpoint …".
   static AsyncRunStats from_checkpoint(const obs::JsonValue& payload);
-
-  obs::MetricsRegistry& metrics() { return metrics_; }
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-
- private:
-  obs::MetricsRegistry metrics_;
-  std::vector<RepFailure> failures_;
 };
 
 struct AsyncRepeatSpec {

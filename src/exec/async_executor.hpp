@@ -1,25 +1,11 @@
 // Deterministic thread-pooled batch execution for the asynchronous engine.
 //
-// The exact design of exec/executor.hpp applied to async runs, with the
-// same three rules that make statistics bit-identical to the serial run at
-// any thread count:
-//
-//  1. Static seed-indexed schedule: rep k derives its inputs, scheduler,
-//     delay model, and coin seed from per-rep streams of the master seed
-//     (schema 2 plus the async delay stream — exec/async_batch.hpp), so
-//     scheduling cannot change what a rep computes. Worker w owns reps
-//     {k : k mod threads == w}.
-//  2. Per-worker engine state: each rep builds its own processes, scheduler,
-//     and delay model — nothing is shared between concurrent reps except
-//     the read-only spec (and fault timetable, if any).
-//  3. Rep-order aggregation: workers fill disjoint outcome slots; after the
-//     join the results fold serially in rep order, reproducing the serial
-//     run's floating-point sequence.
-//
-// Observers compose identically too: serial batches fire the configured
-// observer live; parallel batches buffer each rep's callbacks in a private
-// obs::TraceRecorder and replay them in rep order during the fold, so
-// traces written through the observer are byte-identical to a 1-thread run.
+// AsyncBatchExecutor supplies only "run rep k" — build the rep's inputs,
+// scheduler and delay model from their per-rep streams (exec/async_batch.hpp)
+// and run it — and shares every other part of a batch with BatchExecutor:
+// exec/rep_scheduler.hpp owns the sharding, retries, quarantine, stop and
+// rep-order observer replay that make statistics and traces bit-identical
+// to the serial run at any thread count.
 #pragma once
 
 #include "exec/async_batch.hpp"
@@ -27,26 +13,17 @@
 
 namespace synran::exec {
 
-/// Runs batches of independent seeded async executions. Stateless apart
-/// from its options; one executor may run many batches.
+/// Runs batches of independent seeded async executions. Stateless; one
+/// executor may run many batches.
 class AsyncBatchExecutor {
  public:
-  AsyncBatchExecutor() = default;
-  explicit AsyncBatchExecutor(ExecOptions options) : options_(options) {}
-
-  /// Runs spec.reps executions and returns the aggregate. spec.threads,
-  /// when non-zero, overrides the executor's own thread option. `delays`
-  /// may be null-valued (no factory) or return nullptr per rep — both mean
-  /// the adversary-held default.
+  /// Runs spec.reps executions on resolve_threads(spec.threads) workers and
+  /// returns the aggregate. `delays` may be null-valued (no factory) or
+  /// return nullptr per rep — both mean the adversary-held default.
   AsyncRunStats run(const AsyncProcessFactory& factory,
                     const AsyncSchedulerFactory& schedulers,
                     const AsyncDelayFactory& delays,
                     const AsyncRepeatSpec& spec) const;
-
-  ExecOptions options() const { return options_; }
-
- private:
-  ExecOptions options_;
 };
 
 }  // namespace synran::exec

@@ -2,48 +2,11 @@
 //
 // BatchExecutor runs the repetitions of one RepeatSpec across worker
 // threads and produces a RepeatedRunStats that is bit-identical to the
-// serial run at any thread count. Three design rules make that hold:
-//
-//  1. Static seed-indexed schedule. Repetition k always derives its inputs,
-//     adversary, and engine seed from per-rep streams of the master seed
-//     (seeding schema 2, exec/batch.hpp), never from shared mutable state —
-//     so which worker runs a rep, and in what order, cannot change what the
-//     rep computes. Worker w owns reps {k : k mod threads == w}.
-//  2. Reusable workspaces. Each worker drives one Engine bound to one
-//     EngineWorkspace, so a worker's thousands of reps reuse one set of
-//     buffers instead of reallocating per rep.
-//  3. Rep-order aggregation. Workers record a lightweight RunSummary per
-//     rep into disjoint slots of one pre-sized array; after the join, the
-//     summaries are folded into the registry serially in rep order. Folding
-//     per-rep scalars in rep order reproduces the serial run's
-//     floating-point operations exactly — which a tree-merge of per-worker
-//     Welford accumulators would not.
-//
-// Engine observers compose with all of this: a serial batch fires the
-// configured observer live, while a parallel batch gives each worker a
-// private obs::TraceRecorder, buffers every callback of a rep in that rep's
-// outcome slot, and replays the buffers into the real observer serially in
-// rep order during the fold. The observer therefore sees the exact serial
-// callback stream at any thread count — traces written through it are
-// byte-identical to a 1-thread run (both trace formats; ctest-proven). The
-// replay happens only for batches that complete: a FailFast abort or a stop
-// request throws before the fold, so a parallel trace may then miss events
-// a serial run would have flushed before its own throw.
-//
-// Failure domains (see exec/batch.hpp): a rep that throws is retried with
-// its identical per-rep seeds up to EngineOptions::max_rep_retries times,
-// then either aborts the batch as a RepError (FailurePolicy::FailFast, the
-// default) or is quarantined as a structured RepFailure while the
-// survivors fold normally (FailurePolicy::Quarantine). Both policies
-// produce thread-count-invariant results: a rep's outcome is a pure
-// function of (master seed, rep), never of scheduling. The executor also
-// polls the cooperative stop flag (exec/stopper.hpp) between reps —
-// in-flight reps finish, then the batch throws Interrupted so callers can
-// flush checkpoints and partial artifacts.
-//
-// This subsystem is the one place in the repo allowed to use threading
-// primitives (tools/synran_lint enforces the boundary with its `threads`
-// rule).
+// serial run at any thread count. It supplies only "run rep k" — each
+// worker owns one EngineWorkspace and the Engine bound to it — and hands
+// sharding, retries, quarantine, stop and the rep-order observer replay to
+// the shared scheduler; exec/rep_scheduler.hpp states the rules that make
+// the results thread-count invariant.
 #pragma once
 
 #include "exec/batch.hpp"
@@ -56,31 +19,16 @@ namespace synran::exec {
 /// (serial, the deterministic default that never surprises a caller).
 unsigned resolve_threads(unsigned requested);
 
-struct ExecOptions {
-  /// Worker threads; interpreted by resolve_threads.
-  unsigned threads = 0;
-};
-
-/// Runs batches of independent seeded executions. Stateless apart from its
-/// options; one executor may run many batches.
+/// Runs batches of independent seeded executions. Stateless; one executor
+/// may run many batches.
 class BatchExecutor {
  public:
-  BatchExecutor() = default;
-  explicit BatchExecutor(ExecOptions options) : options_(options) {}
-
-  /// Runs spec.reps executions and returns the aggregate. spec.threads,
-  /// when non-zero, overrides the executor's own thread option for this
-  /// batch. A configured spec.engine.observer receives the serial callback
-  /// stream at any thread count (buffered + rep-order replay when
-  /// parallel).
+  /// Runs spec.reps executions on resolve_threads(spec.threads) workers and
+  /// returns the aggregate. A configured spec.engine.observer receives the
+  /// serial callback stream at any thread count.
   RepeatedRunStats run(const ProcessFactory& factory,
                        const AdversaryFactory& adversaries,
                        const RepeatSpec& spec) const;
-
-  ExecOptions options() const { return options_; }
-
- private:
-  ExecOptions options_;
 };
 
 }  // namespace synran::exec

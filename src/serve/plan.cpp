@@ -204,7 +204,7 @@ RunPlan build_sync_plan(const JsonValue& config, unsigned threads) {
   plan.spec.threads = threads;
   plan.spec.engine.t_budget = t;
   plan.spec.engine.max_rounds = u32_at(config, "max_rounds");
-  plan.spec.engine.max_rep_retries = u32_at(config, "retries");
+  plan.spec.max_rep_retries = u32_at(config, "retries");
   plan.spec.policy = str_at(config, "fail_policy") == "quarantine"
                          ? FailurePolicy::Quarantine
                          : FailurePolicy::FailFast;

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <ostream>
@@ -392,9 +393,13 @@ int Server::run_socket() {
     }
     return 1;
   }
+  // Bind and listen under a staging name, then rename it into place: a
+  // client that waits for the socket path to appear must never find a
+  // socket that is bound but not yet listening (connect would be refused).
+  const std::string staging = options_.socket_path + ".new";
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof addr.sun_path) {
+  if (staging.size() >= sizeof addr.sun_path) {
     if (options_.log != nullptr) {
       *options_.log << "[serve] socket path too long: "
                     << options_.socket_path << "\n";
@@ -402,11 +407,13 @@ int Server::run_socket() {
     ::close(listener);
     return 1;
   }
-  std::strncpy(addr.sun_path, options_.socket_path.c_str(),
-               sizeof addr.sun_path - 1);
+  std::strncpy(addr.sun_path, staging.c_str(), sizeof addr.sun_path - 1);
+  ::unlink(staging.c_str());
   ::unlink(options_.socket_path.c_str());
   if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0 ||
-      ::listen(listener, 1) < 0) {
+      ::listen(listener, 1) < 0 ||
+      std::rename(staging.c_str(), options_.socket_path.c_str()) != 0) {
+    ::unlink(staging.c_str());
     if (options_.log != nullptr) {
       *options_.log << "[serve] bind/listen failed on "
                     << options_.socket_path << ": " << std::strerror(errno)

@@ -50,13 +50,6 @@ struct EngineOptions {
   std::uint32_t max_rounds = 100000;
   /// Master seed; every process stream derives from it.
   std::uint64_t seed = 1;
-  /// Consumed by the batch executor, not the engine: how many times a
-  /// repetition that throws is re-attempted with its identical per-rep
-  /// seeds before it counts as failed (0 = no retries). Retrying with the
-  /// same seeds preserves determinism — a rep either produces its one
-  /// canonical RunSummary or is quarantined/fails the batch, depending on
-  /// RepeatSpec::policy.
-  std::uint32_t max_rep_retries = 0;
   /// Audit decisions as latching (see RunAuditor::set_strict_decisions).
   /// Leave off for SynRan-family protocols, which rescind until STOP.
   bool strict_decision_audit = false;

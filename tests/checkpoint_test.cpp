@@ -1,16 +1,20 @@
 // Tests for the synran-ckpt/1 checkpoint layer (obs/checkpoint.hpp): exact
 // registry snapshots (raw Welford m2, shortest-round-trip doubles), the
 // on-disk ledger's load/record cycle, its tolerance for the torn tails a
-// killed run leaves behind, and clean IoError surfacing when the ledger
-// cannot be written.
+// killed run leaves behind, clean IoError surfacing when the ledger
+// cannot be written, the shared stats restore path of both executors'
+// aggregates, and the pinned cell-key formats.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 
+#include "async/benor.hpp"
 #include "common/check.hpp"
 #include "exec/executor.hpp"
 #include "obs/checkpoint.hpp"
@@ -114,6 +118,161 @@ TEST(ResilienceCkpt, BatchStatsCheckpointRoundTripsThroughTheLedger) {
             restored.metrics().to_json().dump());
   EXPECT_EQ(stats.checkpoint_json().dump(), restored.checkpoint_json().dump());
   fs::remove(path);
+}
+
+// A fixed quarantine batch of each executor: rep 2's adversary (or
+// scheduler) always throws, so both aggregates carry one RepFailure.
+RepeatedRunStats quarantined_sync_stats() {
+  RepeatSpec spec;
+  spec.n = 8;
+  spec.reps = 6;
+  spec.seed = 99;
+  spec.engine.t_budget = 3;
+  spec.policy = FailurePolicy::Quarantine;
+  const std::uint64_t bad = adversary_seed_for_rep(spec.seed, 2);
+  const AdversaryFactory adversaries =
+      [bad](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+    if (seed == bad) throw std::runtime_error("injected fault");
+    return std::make_unique<NoAdversary>();
+  };
+  return run_repeated(SynRanFactory(), adversaries, spec);
+}
+
+AsyncRunStats quarantined_async_stats() {
+  AsyncRepeatSpec spec;
+  spec.n = 8;
+  spec.reps = 6;
+  spec.seed = 99;
+  spec.engine.t_budget = 2;
+  spec.engine.max_steps = 200000;
+  spec.policy = FailurePolicy::Quarantine;
+  const std::uint64_t bad = adversary_seed_for_rep(spec.seed, 2);
+  const AsyncSchedulerFactory random = random_scheduler_factory();
+  const AsyncSchedulerFactory schedulers =
+      [bad, random](std::uint64_t seed) -> std::unique_ptr<AsyncScheduler> {
+    if (seed == bad) throw std::runtime_error("injected fault");
+    return random(seed);
+  };
+  return run_repeated_async(BenOrAsyncFactory(), schedulers,
+                            held_delay_factory(), spec);
+}
+
+/// Expects `restore(payload)` to throw ArgumentError mentioning `text`.
+template <typename Restore>
+void expect_rejected(Restore restore, const obs::JsonValue& payload,
+                     const std::string& text) {
+  try {
+    restore(payload);
+    FAIL() << "expected ArgumentError: " << text;
+  } catch (const ArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ResilienceCkpt, QuarantinedStatsOfBothExecutorsRoundTripByteForByte) {
+  const RepeatedRunStats sync = quarantined_sync_stats();
+  ASSERT_EQ(sync.reps_quarantined(), 1u);
+  const std::string sync_payload = sync.checkpoint_json().dump();
+  EXPECT_EQ(RepeatedRunStats::from_checkpoint(sync.checkpoint_json())
+                .checkpoint_json()
+                .dump(),
+            sync_payload);
+
+  const AsyncRunStats async = quarantined_async_stats();
+  ASSERT_EQ(async.reps_quarantined(), 1u);
+  const std::string async_payload = async.checkpoint_json().dump();
+  const AsyncRunStats restored =
+      AsyncRunStats::from_checkpoint(async.checkpoint_json());
+  EXPECT_EQ(restored.checkpoint_json().dump(), async_payload);
+  ASSERT_EQ(restored.failures().size(), 1u);
+  EXPECT_EQ(restored.failures()[0].rep, 2u);
+  EXPECT_EQ(restored.failures()[0].error, "injected fault");
+}
+
+TEST(ResilienceCkpt, EachStatsKindRejectsTheOtherKindsPayload) {
+  const auto sync_restore = [](const obs::JsonValue& p) {
+    RepeatedRunStats::from_checkpoint(p);
+  };
+  const auto async_restore = [](const obs::JsonValue& p) {
+    AsyncRunStats::from_checkpoint(p);
+  };
+  expect_rejected(async_restore, quarantined_sync_stats().checkpoint_json(),
+                  "async stats checkpoint missing summary: ticks_to_decision");
+  expect_rejected(sync_restore, quarantined_async_stats().checkpoint_json(),
+                  "stats checkpoint missing summary: rounds_to_halt");
+}
+
+TEST(ResilienceCkpt, StatsRestoreRejectsBadFailureLists) {
+  const obs::JsonValue sync = quarantined_sync_stats().checkpoint_json();
+  const obs::JsonValue async = quarantined_async_stats().checkpoint_json();
+  const auto with_failures = [](const obs::JsonValue& payload,
+                                obs::JsonValue failures) {
+    return obs::JsonValue::object()
+        .set("stats", *payload.find("stats"))
+        .set("failures", std::move(failures));
+  };
+  // An entry with zero attempts (every quarantined rep ran at least once).
+  obs::JsonValue malformed = obs::JsonValue::array();
+  malformed.push(obs::JsonValue::object()
+                     .set("rep", obs::JsonValue(2))
+                     .set("seed", obs::JsonValue(7))
+                     .set("attempts", obs::JsonValue(0))
+                     .set("error", "injected fault"));
+  // A well-formed list one entry longer than reps_quarantined.
+  obs::JsonValue too_long = obs::JsonValue::array();
+  too_long.push(RepFailure{2, 7, 1, "injected fault"}.to_json());
+  too_long.push(RepFailure{4, 9, 1, "injected fault"}.to_json());
+
+  const auto sync_restore = [](const obs::JsonValue& p) {
+    RepeatedRunStats::from_checkpoint(p);
+  };
+  const auto async_restore = [](const obs::JsonValue& p) {
+    AsyncRunStats::from_checkpoint(p);
+  };
+  expect_rejected(sync_restore, with_failures(sync, malformed),
+                  "stats checkpoint failure entry malformed");
+  expect_rejected(async_restore, with_failures(async, malformed),
+                  "async stats checkpoint failure entry malformed");
+  expect_rejected(sync_restore, with_failures(sync, too_long),
+                  "stats checkpoint failure list disagrees with counter");
+  expect_rejected(async_restore, with_failures(async, obs::JsonValue::array()),
+                  "async stats checkpoint failure list disagrees with counter");
+}
+
+TEST(ResilienceCkpt, CellKeysArePinned) {
+  // Ledgers written by earlier builds store these keys; a changed key makes
+  // --resume recompute every cell, so the format is golden.
+  RepeatSpec spec;
+  spec.n = 8;
+  spec.pattern = InputPattern::Random;
+  spec.reps = 6;
+  spec.seed = 99;
+  spec.engine.t_budget = 3;
+  spec.engine.per_round_cap = 2;
+  spec.engine.omission_budget = 1;
+  spec.engine.max_rounds = 500;
+  spec.policy = FailurePolicy::Quarantine;
+  spec.max_rep_retries = 2;
+  EXPECT_EQ(spec_cell_key(spec, "synran", "tag"),
+            "proto=synran;tag=tag;n=8;pattern=random;reps=6;seed=99;t=3;"
+            "cap=2;omb=1;omc=0;byz=0;bzc=0;max_rounds=500;strict=0;"
+            "policy=quarantine;retries=2;seed_schema=2");
+
+  AsyncRepeatSpec async;
+  async.n = 8;
+  async.pattern = InputPattern::Half;
+  async.reps = 12;
+  async.seed = 5;
+  async.engine.t_budget = 2;
+  async.engine.max_steps = 200000;
+  async.policy = FailurePolicy::Quarantine;
+  async.max_rep_retries = 1;
+  EXPECT_EQ(async_spec_cell_key(async, "benor-async", "random/held"),
+            "model=async;proto=benor-async;tag=random/held;n=8;"
+            "pattern=half;reps=12;seed=5;t=2;steps=200000;"
+            "time=18446744073709551615;events=0;omb=0;policy=quarantine;"
+            "retries=1;seed_schema=2");
 }
 
 TEST(ResilienceCkpt, FindMissesOnAbsentCellOrChangedKey) {

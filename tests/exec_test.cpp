@@ -2,7 +2,7 @@
 // the synran-seed/2 per-rep streams (golden-pinned), workspace reuse, the
 // thread-count-invariant observer stream (buffered + rep-order replay),
 // deterministic error propagation, the quarantine/retry failure domains,
-// and cooperative stop handling.
+// and cooperative stop handling (stop and retry typed over both executors).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,7 +14,9 @@
 
 #include "adversary/basic.hpp"
 #include "adversary/coinbias.hpp"
+#include "async/benor.hpp"
 #include "common/check.hpp"
+#include "exec/async_executor.hpp"
 #include "exec/executor.hpp"
 #include "exec/stopper.hpp"
 #include "fail_fast_race.hpp"
@@ -222,23 +224,6 @@ TEST(ExecThreads, ResolveExplicitEnvAndDefault) {
   ::unsetenv("SYNRAN_THREADS");
 }
 
-TEST(ExecThreads, SpecOverridesExecutorOptions) {
-  SynRanFactory protocol;
-  RepeatSpec spec = base_spec(InputPattern::Half, 31);
-  spec.threads = 1;
-  const std::string serial = exec::BatchExecutor()
-                                 .run(protocol, no_adversary_factory(), spec)
-                                 .metrics()
-                                 .to_json()
-                                 .dump();
-  spec.threads = 0;  // defer to the executor's own options
-  exec::BatchExecutor parallel_executor(exec::ExecOptions{4});
-  EXPECT_EQ(serial, parallel_executor.run(protocol, no_adversary_factory(), spec)
-                        .metrics()
-                        .to_json()
-                        .dump());
-}
-
 // --------------------------------------------------------------- observers
 
 struct CountingObserver final : obs::EngineObserver {
@@ -339,25 +324,29 @@ TEST(ExecErrors, EarliestFailureRunsEvenWhenALaterRepFailsFirst) {
 
 // ------------------------------------------------------ failure domains
 
-/// An adversary factory that throws for the given rep indices (mapped back
-/// through their schema-2 adversary seeds), a fixed number of times each.
-/// `fail_times = 0` means "always".
+/// A per-rep factory that throws for the given rep indices (mapped back
+/// through their schema-2 adversary seeds, which also seed async
+/// schedulers), a fixed number of times each. `fail_times = 0` means
+/// "always"; every other call returns `healthy(seed)`.
+template <typename Spec>
 struct FaultInjector {
-  RepeatSpec spec;
+  Spec spec;
   std::map<std::uint64_t, std::size_t> throws_left;
 
-  AdversaryFactory factory(std::vector<std::size_t> bad_reps,
-                           std::size_t fail_times = 0) {
+  template <typename Factory = AdversaryFactory>
+  Factory factory(std::vector<std::size_t> bad_reps,
+                  std::size_t fail_times = 0,
+                  Factory healthy = no_adversary_factory()) {
     for (std::size_t rep : bad_reps)
       throws_left[adversary_seed_for_rep(spec.seed, rep)] =
           fail_times == 0 ? static_cast<std::size_t>(-1) : fail_times;
-    return [this](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+    return [this, healthy](std::uint64_t seed) {
       auto it = throws_left.find(seed);
       if (it != throws_left.end() && it->second > 0) {
         if (it->second != static_cast<std::size_t>(-1)) --it->second;
         throw std::runtime_error("injected fault");
       }
-      return std::make_unique<NoAdversary>();
+      return healthy(seed);
     };
   }
 };
@@ -423,68 +412,77 @@ TEST(ExecQuarantine, SurvivorsMatchABatchThatNeverHadTheBadReps) {
             expected.metrics().to_json().dump());
 }
 
-TEST(ExecQuarantine, RetryReRunsTheIdenticalSeedAndCanSucceed) {
-  SynRanFactory protocol;
-  RepeatSpec spec = base_spec(InputPattern::Random, 808);
-  spec.reps = 6;
-
-  // Clean reference: no faults at all.
-  const std::string clean = run_repeated(protocol, no_adversary_factory(),
-                                         spec)
-                                .metrics()
-                                .to_json()
-                                .dump();
-
-  // Rep 2's adversary construction fails once, then succeeds: with one
-  // retry allowed the batch must converge to the clean result bit for bit,
-  // because the retry re-derives the same (input, adversary, engine)
-  // streams from (master seed, rep).
-  spec.engine.max_rep_retries = 1;
-  FaultInjector inject{spec, {}};
-  const auto stats =
-      run_repeated(protocol, inject.factory({2}, /*fail_times=*/1), spec);
-  EXPECT_EQ(stats.reps_quarantined(), 0u);
-  EXPECT_EQ(stats.metrics().to_json().dump(), clean);
-}
-
-TEST(ExecQuarantine, AttemptsCountRetriesBeforeGivingUp) {
-  SynRanFactory protocol;
-  RepeatSpec spec = base_spec(InputPattern::Half, 909);
-  spec.reps = 4;
-  spec.policy = FailurePolicy::Quarantine;
-  spec.engine.max_rep_retries = 2;
-  FaultInjector inject{spec, {}};
-  const auto stats = run_repeated(protocol, inject.factory({1}), spec);
-  ASSERT_EQ(stats.failures().size(), 1u);
-  EXPECT_EQ(stats.failures()[0].attempts, 3u);  // 1 try + 2 retries
-}
-
 TEST(ExecQuarantine, FailFastStillThrowsDespiteRetries) {
   SynRanFactory protocol;
   RepeatSpec spec = base_spec(InputPattern::Half, 1010);
   spec.reps = 4;
-  spec.engine.max_rep_retries = 1;
+  spec.max_rep_retries = 1;
   FaultInjector inject{spec, {}};
   EXPECT_THROW(run_repeated(protocol, inject.factory({1}), spec),
                RepError);
 }
 
-// ------------------------------------------------------ cooperative stop
+// ------------------------------------- stop and retry, both executors
+
+// BatchExecutor and AsyncBatchExecutor share one scheduler
+// (exec/rep_scheduler.hpp); these typed suites drive its stop and retry
+// wiring through each executor's adapter. The two batch kinds sit outside
+// the anonymous namespace so ctest names the typed cases
+// "Suite.Case<synran::SyncBatch>" and "…<synran::AsyncBatch>".
+}  // namespace
+
+struct SyncBatch {
+  using Spec = RepeatSpec;
+  using Factory = AdversaryFactory;
+  static Spec spec(InputPattern pattern, std::uint64_t seed) {
+    return base_spec(pattern, seed);
+  }
+  static Factory healthy() { return no_adversary_factory(); }
+  static RepeatedRunStats run(const Spec& spec, const Factory& adversaries) {
+    return exec::BatchExecutor().run(SynRanFactory(), adversaries, spec);
+  }
+};
+
+struct AsyncBatch {
+  using Spec = AsyncRepeatSpec;
+  using Factory = AsyncSchedulerFactory;
+  static Spec spec(InputPattern pattern, std::uint64_t seed) {
+    AsyncRepeatSpec spec;
+    spec.n = 8;
+    spec.pattern = pattern;
+    spec.reps = 6;
+    spec.seed = seed;
+    spec.engine.t_budget = 2;
+    spec.engine.max_steps = 200000;
+    return spec;
+  }
+  static Factory healthy() { return random_scheduler_factory(); }
+  static AsyncRunStats run(const Spec& spec, const Factory& schedulers) {
+    return exec::AsyncBatchExecutor().run(BenOrAsyncFactory(), schedulers,
+                                          held_delay_factory(), spec);
+  }
+};
+
+namespace {
+
+using BatchKinds = ::testing::Types<SyncBatch, AsyncBatch>;
 
 /// Clears the process-wide stop flag on entry and exit so a failing test
 /// cannot leak a pending stop into later tests.
-struct StopFlagGuard {
-  StopFlagGuard() { exec::clear_stop(); }
-  ~StopFlagGuard() { exec::clear_stop(); }
+template <typename Batch>
+class ExecStop : public ::testing::Test {
+ protected:
+  ExecStop() { exec::clear_stop(); }
+  ~ExecStop() override { exec::clear_stop(); }
 };
+TYPED_TEST_SUITE(ExecStop, BatchKinds);
 
-TEST(ExecStop, PendingStopInterruptsSerialBatchBeforeAnyRep) {
-  StopFlagGuard guard;
-  SynRanFactory protocol;
-  RepeatSpec spec = base_spec(InputPattern::Half, 77);
+TYPED_TEST(ExecStop, PendingStopInterruptsSerialBatchBeforeAnyRep) {
+  auto spec = TypeParam::spec(InputPattern::Half, 77);
+  spec.threads = 1;
   exec::request_stop();
   try {
-    run_repeated(protocol, no_adversary_factory(), spec);
+    TypeParam::run(spec, TypeParam::healthy());
     FAIL() << "expected exec::Interrupted";
   } catch (const exec::Interrupted& e) {
     EXPECT_NE(std::string(e.what()).find("0 of 6"), std::string::npos)
@@ -492,14 +490,11 @@ TEST(ExecStop, PendingStopInterruptsSerialBatchBeforeAnyRep) {
   }
 }
 
-TEST(ExecStop, PendingStopInterruptsParallelBatch) {
-  StopFlagGuard guard;
-  SynRanFactory protocol;
-  RepeatSpec spec = base_spec(InputPattern::Half, 78);
+TYPED_TEST(ExecStop, PendingStopInterruptsParallelBatch) {
+  auto spec = TypeParam::spec(InputPattern::Half, 78);
   spec.threads = 4;
   exec::request_stop();
-  EXPECT_THROW(run_repeated(protocol, no_adversary_factory(), spec),
-               exec::Interrupted);
+  EXPECT_THROW(TypeParam::run(spec, TypeParam::healthy()), exec::Interrupted);
 }
 
 struct StopAfterObserver final : obs::EngineObserver {
@@ -510,15 +505,16 @@ struct StopAfterObserver final : obs::EngineObserver {
   }
 };
 
-TEST(ExecStop, MidBatchStopFinishesInFlightRepThenThrows) {
-  StopFlagGuard guard;
-  SynRanFactory protocol;
+TYPED_TEST(ExecStop, MidBatchStopFinishesInFlightRepThenThrows) {
   StopAfterObserver observer;
   observer.stop_after = 3;
-  RepeatSpec spec = base_spec(InputPattern::Half, 79);
+  auto spec = TypeParam::spec(InputPattern::Half, 79);
+  // Serial, so the observer sees each rep end live (a parallel batch
+  // replays callbacks only after the join).
+  spec.threads = 1;
   spec.engine.observer = &observer;
   try {
-    run_repeated(protocol, no_adversary_factory(), spec);
+    TypeParam::run(spec, TypeParam::healthy());
     FAIL() << "expected exec::Interrupted";
   } catch (const exec::Interrupted& e) {
     // Rep 2's completion requested the stop; it was honored before rep 3.
@@ -528,15 +524,47 @@ TEST(ExecStop, MidBatchStopFinishesInFlightRepThenThrows) {
   }
 }
 
-TEST(ExecStop, ClearStopLetsTheNextBatchRun) {
-  StopFlagGuard guard;
-  SynRanFactory protocol;
-  RepeatSpec spec = base_spec(InputPattern::Half, 80);
+TYPED_TEST(ExecStop, ClearStopLetsTheNextBatchRun) {
+  auto spec = TypeParam::spec(InputPattern::Half, 80);
   exec::request_stop();
-  EXPECT_THROW(run_repeated(protocol, no_adversary_factory(), spec),
-               exec::Interrupted);
+  EXPECT_THROW(TypeParam::run(spec, TypeParam::healthy()), exec::Interrupted);
   exec::clear_stop();
-  EXPECT_EQ(run_repeated(protocol, no_adversary_factory(), spec).reps(), 6u);
+  EXPECT_EQ(TypeParam::run(spec, TypeParam::healthy()).reps(), 6u);
+}
+
+template <typename Batch>
+class ExecRetry : public ::testing::Test {};
+TYPED_TEST_SUITE(ExecRetry, BatchKinds);
+
+TYPED_TEST(ExecRetry, RetryReRunsTheIdenticalSeedAndCanSucceed) {
+  auto spec = TypeParam::spec(InputPattern::Random, 808);
+
+  // Clean reference: no faults at all.
+  const std::string clean =
+      TypeParam::run(spec, TypeParam::healthy()).metrics().to_json().dump();
+
+  // Rep 2's adversary (or scheduler) construction fails once, then
+  // succeeds: with one retry allowed the batch must converge to the clean
+  // result bit for bit, because the retry re-derives the same per-rep
+  // streams from (master seed, rep).
+  spec.max_rep_retries = 1;
+  FaultInjector<typename TypeParam::Spec> inject{spec, {}};
+  const auto stats = TypeParam::run(
+      spec, inject.factory({2}, /*fail_times=*/1, TypeParam::healthy()));
+  EXPECT_EQ(stats.reps_quarantined(), 0u);
+  EXPECT_EQ(stats.metrics().to_json().dump(), clean);
+}
+
+TYPED_TEST(ExecRetry, AttemptsCountRetriesBeforeGivingUp) {
+  auto spec = TypeParam::spec(InputPattern::Half, 909);
+  spec.reps = 4;
+  spec.policy = FailurePolicy::Quarantine;
+  spec.max_rep_retries = 2;
+  FaultInjector<typename TypeParam::Spec> inject{spec, {}};
+  const auto stats =
+      TypeParam::run(spec, inject.factory({1}, 0, TypeParam::healthy()));
+  ASSERT_EQ(stats.failures().size(), 1u);
+  EXPECT_EQ(stats.failures()[0].attempts, 3u);  // 1 try + 2 retries
 }
 
 TEST(ExecErrors, RejectsZeroReps) {
