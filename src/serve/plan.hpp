@@ -1,9 +1,9 @@
-// Canonical config → executable batch.
+// Executing a canonical config.
 //
-// A RunPlan is the daemon-side twin of the CLI's flag wiring: the same
-// protocol/adversary/scheduler/delay factories, the same RepeatSpec
-// construction, built from a canonical synran-req/1 config instead of
-// argv. Execution returns the batch's EXACT checkpoint payload
+// The plan itself — the protocol/adversary/scheduler/delay factories and
+// the repeat spec — comes from the run-config grammar in
+// runner/run_spec.hpp, the same code `synran run` builds its batches
+// with. Execution returns the batch's EXACT checkpoint payload
 // (RepeatedRunStats/AsyncRunStats::checkpoint_json), which is what the
 // content-addressed cache stores; the client-facing result object is then
 // derived from that payload by result_from_payload() on BOTH the compute
@@ -11,36 +11,13 @@
 // construction, not by luck.
 #pragma once
 
-#include <memory>
-
-#include "async/benor.hpp"
-#include "exec/async_batch.hpp"
-#include "exec/batch.hpp"
 #include "obs/json.hpp"
+#include "runner/run_spec.hpp"
 
 namespace synran::serve {
 
-/// One executable batch. Exactly one of the sync/async halves is live,
-/// selected by `is_async`.
-struct RunPlan {
-  bool is_async = false;
-
-  // Sync (is_async == false).
-  std::unique_ptr<ProcessFactory> factory;
-  AdversaryFactory adversaries;
-  RepeatSpec spec;
-
-  // Async (is_async == true).
-  BenOrOptions benor;
-  AsyncSchedulerFactory schedulers;
-  AsyncDelayFactory delays;
-  AsyncRepeatSpec aspec;
-};
-
-/// Builds the plan for a canonical config (as produced by parse_request).
-/// `threads` is the server's worker count — an execution resource, never
-/// part of the cache key (statistics are thread-count invariant).
-RunPlan build_plan(const obs::JsonValue& canonical_config, unsigned threads);
+using ::synran::build_plan;
+using ::synran::RunPlan;
 
 /// Runs the batch. Returns the exact checkpoint payload. Propagates
 /// exec::Interrupted when a deadline or drain stop lands mid-batch.

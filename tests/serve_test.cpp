@@ -234,6 +234,73 @@ TEST(Request, ValidationRejectsAreStructuredAndSpecific) {
           "config");
 }
 
+// Golden keys computed by an earlier build: the cache key of a terse
+// request may never drift, or every stored entry silently goes cold.
+TEST(Request, TerseCacheKeysMatchTheGoldenBytes) {
+  const ServeRequest sync = parse_request(
+      R"({"schema":"synran-req/1","id":"g","cmd":"run",)"
+      R"("config":{"model":"sync","n":64,"seed":9}})");
+  EXPECT_EQ(cache_key_string(sync.config, "rev1"),
+            R"({"model":"sync","protocol":"synran","adversary":"coinbias",)"
+            R"("faults":"","n":64,"t":32,"pattern":"random","reps":50,)"
+            R"("seed":9,"max_rounds":100000,"fail_policy":"fail_fast",)"
+            R"("retries":0}|seed_schema=2|git_rev=rev1)");
+  const ServeRequest async = parse_request(
+      R"({"schema":"synran-req/1","id":"g","cmd":"run",)"
+      R"("config":{"model":"async","n":16}})");
+  EXPECT_EQ(cache_key_string(async.config, "rev1"),
+            R"({"model":"async","protocol":"benor","scheduler":"random",)"
+            R"("delay":"held","gst":0,"delta":0,"retransmit":0,"n":16,)"
+            R"("t":7,"pattern":"random","reps":50,"seed":1,)"
+            R"("max_steps":2000000,"max_time":0}|seed_schema=2|)"
+            R"(git_rev=rev1)");
+}
+
+// An impossible population is a bad request, never a run failure or a
+// cached all-quarantined entry.
+TEST(Request, BudgetBeyondThePopulationIsABadRequest) {
+  for (const char* config :
+       {R"({"n":4,"t":5,"fail_policy":"quarantine"})", R"({"n":0})",
+        R"({"model":"async","n":4,"t":4})"}) {
+    EXPECT_THROW(parse_request(std::string(R"({"schema":"synran-req/1",)") +
+                               R"("id":"a","cmd":"run","config":)" + config +
+                               "}"),
+                 BadRequest)
+        << config;
+  }
+}
+
+// Payload digests computed by an earlier build: the run-config grammar
+// must wire every table entry, the fault layering and its seed streams,
+// and the async delay models exactly as before, or cached and resumed
+// results stop matching fresh ones.
+TEST(Plan, GoldenConfigsExecuteToTheEarlierPayloads) {
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {R"({"n":16,"t":4,"reps":4,"seed":7})", "f0f1d0a916543c7c"},
+      {R"({"n":16,"t":4,"reps":4,"seed":7,"adversary":"none",)"
+       R"("faults":"omit:0.2,40"})",
+       "bbafcc46458618e6"},
+      {R"({"n":16,"t":4,"reps":4,"seed":7,"faults":"byz:0.1"})",
+       "6afd04c0778971fb"},
+      {R"({"protocol":"floodmin-early","adversary":"leader-killer",)"
+       R"("n":16,"t":5,"reps":3,"seed":7,"pattern":"half"})",
+       "3c3b15111abea64f"},
+      {R"({"model":"async","n":8,"reps":4,"seed":7,"delay":"uniform:1,5"})",
+       "89094b40e1e41284"},
+      {R"({"model":"async","n":8,"reps":4,"seed":7,"scheduler":"fifo",)"
+       R"("gst":30,"delta":4,"retransmit":10})",
+       "9aef6594d66140cb"},
+  };
+  for (const auto& [config, digest] : golden) {
+    const ServeRequest req = parse_request(
+        R"({"schema":"synran-req/1","id":"g","cmd":"run","config":)" +
+        config + "}");
+    EXPECT_EQ(cache_file_stem(execute_plan(build_plan(req.config, 1)).dump()),
+              digest)
+        << config;
+  }
+}
+
 // ------------------------------------------------------------------- cache
 
 TEST(Cache, StoreLookupAndMissCounters) {

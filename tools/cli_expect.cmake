@@ -2,17 +2,22 @@
 # substring of its combined stdout+stderr. Driven from add_test():
 #
 #   cmake -DCLI=<path> "-DARGS=run;--threads;0x" -DEXPECT_RC=2
-#         [-DEXPECT_OUT=<substring>] [-DREMOVE=<file>] -P cli_expect.cmake
+#         [-DEXPECT_OUT=<substring>] [-DREMOVE=<file>]
+#         [-DCOPY_FROM=<file> -DCOPY_TO=<file>] -P cli_expect.cmake
 #
 # ARGS is a ;-separated list. A mismatch prints the full output and fails.
 # REMOVE deletes a file first (e.g. a stale checkpoint ledger, so a resume
-# test's recording run starts from nothing).
+# test's recording run starts from nothing); COPY_FROM/COPY_TO then puts a
+# checked-in fixture where the run can modify it.
 if(NOT DEFINED CLI OR NOT DEFINED EXPECT_RC)
   message(FATAL_ERROR "cli_expect.cmake needs -DCLI=... and -DEXPECT_RC=...")
 endif()
 
 if(DEFINED REMOVE)
   file(REMOVE "${REMOVE}")
+endif()
+if(DEFINED COPY_FROM)
+  file(COPY_FILE "${COPY_FROM}" "${COPY_TO}")
 endif()
 
 execute_process(
