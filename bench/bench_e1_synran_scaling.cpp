@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "obs/trace_binary.hpp"
-#include "obs/trace_record.hpp"
+#include "obs/trace_tape.hpp"
 #include "obs/trace_writer.hpp"
 
 namespace synran::bench {
@@ -68,10 +68,9 @@ void table_for(const char* title, double t_fraction, bool fit_shape) {
 /// trace-write throughput benchmarks. Recorded directly through
 /// run_repeated — not run_cell — so the trace comparison never claims a
 /// checkpoint cell ordinal or opens a SYNRAN_TRACE_DIR file of its own.
-const std::vector<obs::TraceRecord>& trace_records() {
-  static const std::vector<obs::TraceRecord> records = [] {
-    std::vector<obs::TraceRecord> recs;
-    obs::TraceRecorder recorder(recs);
+const obs::TraceTape& trace_tape() {
+  static const obs::TraceTape tape = [] {
+    obs::TraceTape recorder;
     SynRanFactory synran;
     RepeatSpec spec;
     spec.n = 256;
@@ -83,9 +82,9 @@ const std::vector<obs::TraceRecord>& trace_records() {
     spec.engine.max_rounds = 200000;
     spec.engine.observer = &recorder;
     run_repeated(synran, coinbias_factory(), spec);
-    return recs;
+    return recorder;
   }();
-  return records;
+  return tape;
 }
 
 /// Replays the shared event stream through both trace writers (in-memory
@@ -96,17 +95,17 @@ void table_trace_volume() {
   Table table("E1d: trace write volume, synran-trace/1 vs synran-trace/2");
   table.header({"format", "events", "bytes", "bytes/event", "size vs jsonl"});
 
-  const auto& records = trace_records();
+  const auto& tape = trace_tape();
   std::ostringstream jsonl_out;
   obs::JsonlTraceWriter jsonl(jsonl_out);
-  obs::replay(records, jsonl);
+  tape.replay(jsonl);
   jsonl.close();
 
   std::ostringstream bin_out;
   obs::BinaryTraceWriter bin(
       bin_out, obs::Trace2Header{static_cast<std::uint16_t>(kSeedSchemaVersion),
                                  BenchReport::git_rev()});
-  obs::replay(records, bin);
+  tape.replay(bin);
   bin.close();
 
   for (const obs::TraceWriter* w :
@@ -179,12 +178,12 @@ BENCHMARK(BM_SynRanAttackedRun)->Arg(256)->Arg(1024)->Arg(4096);
 /// replay isolates pure serialization cost (no engine work inside the
 /// timed region), so these two timings are directly comparable.
 void BM_TraceWriteJsonl(::benchmark::State& state) {
-  const auto& records = trace_records();
+  const auto& tape = trace_tape();
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream out;
     obs::JsonlTraceWriter writer(out);
-    obs::replay(records, writer);
+    tape.replay(writer);
     writer.close();
     bytes = writer.bytes_written();
     ::benchmark::DoNotOptimize(bytes);
@@ -194,12 +193,12 @@ void BM_TraceWriteJsonl(::benchmark::State& state) {
 BENCHMARK(BM_TraceWriteJsonl);
 
 void BM_TraceWriteBinary(::benchmark::State& state) {
-  const auto& records = trace_records();
+  const auto& tape = trace_tape();
   std::uint64_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream out;
     obs::BinaryTraceWriter writer(out);
-    obs::replay(records, writer);
+    tape.replay(writer);
     writer.close();
     bytes = writer.bytes_written();
     ::benchmark::DoNotOptimize(bytes);

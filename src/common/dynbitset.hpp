@@ -6,6 +6,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -125,6 +127,22 @@ class DynBitset {
         w &= w - 1;
       }
     }
+  }
+
+  /// The backing words, bit i at (words()[i / 64] >> (i % 64)) & 1; bits
+  /// past size() are clear. With assign_words(), lets a flat buffer carry
+  /// a mask as raw words.
+  std::span<const std::uint64_t> words() const { return words_; }
+
+  /// Becomes an `n`-bit set whose (n + 63) / 64 words are copied from
+  /// `bytes` in words() layout (host-endian, no alignment needed). Reuses
+  /// the current storage when it is large enough.
+  void assign_words(std::size_t n, const void* bytes) {
+    n_ = n;
+    words_.resize((n + 63) / 64);
+    if (!words_.empty())
+      std::memcpy(words_.data(), bytes, words_.size() * sizeof(std::uint64_t));
+    trim();
   }
 
   /// 64-bit mix of the contents; used by memoization tables.

@@ -27,12 +27,14 @@
 //     accumulators would not.
 //
 // Observers compose with all of this: a serial batch fires the configured
-// observer live, while a parallel batch gives each rep a private
-// obs::TraceRecorder, buffers every callback of the rep in its outcome
-// slot, and replays the buffers into the real observer serially in rep
-// order during the fold. The observer therefore sees the exact serial
-// callback stream at any thread count — traces written through it are
-// byte-identical to a 1-thread run (both trace formats; ctest-proven). The
+// observer live, while a parallel batch records each rep's callbacks on
+// its worker's reused obs::TraceTape (obs/trace_tape.hpp), keeps an
+// exact-size copy of the tape in the rep's outcome slot, and replays the
+// tapes into the real observer serially in rep order during the fold. The
+// observer therefore sees the exact serial callback stream at any thread
+// count — traces written through it are byte-identical to a 1-thread run
+// (both trace formats; ctest-proven), and in-memory-only callbacks such as
+// fault plans arrive intact (ExecTapeFidelity). The
 // replay happens only for batches that complete: a FailFast abort or a
 // stop request throws before the fold, so a parallel trace may then miss
 // events a serial run would have flushed before its own throw.
@@ -66,7 +68,7 @@
 #include "exec/executor.hpp"
 #include "exec/stopper.hpp"
 #include "obs/observer.hpp"
-#include "obs/trace_record.hpp"
+#include "obs/trace_tape.hpp"
 
 namespace synran::exec::detail {
 
@@ -94,20 +96,20 @@ BatchShape shape_of(const Spec& spec) {
 
 /// One repetition's terminal state: its result, or the failure that
 /// exhausted the retry budget — plus, for observed parallel batches, the
-/// rep's buffered callback stream awaiting its rep-order replay.
+/// rep's recorded callback stream awaiting its rep-order replay.
 template <typename Result>
 struct RepOutcome {
   bool ok = false;
   Result result;
   RepFailure failure;
-  std::vector<obs::TraceRecord> records;
+  obs::TraceTape tape;
 };
 
 /// Runs repetition `rep` with its retry budget. Every attempt re-derives
 /// the identical per-rep streams, so a retry either reproduces the one
 /// canonical result or fails again — determinism is preserved either way.
 /// `observer` is the rep's callback sink (the configured observer when
-/// serial, a per-rep recorder when parallel); abandoned attempts are
+/// serial, the worker's tape when parallel); abandoned attempts are
 /// reported to it so traces stay well formed.
 template <typename Result, typename Worker>
 RepOutcome<Result> attempt_rep(const BatchShape& shape, Worker& worker,
@@ -192,19 +194,21 @@ Stats run_reps(const BatchShape& shape, const MakeWorker& make_worker) {
   auto run_shard = [&](unsigned w) {
     try {
       auto worker = make_worker();
+      // Records one rep at a time; its buffer grows to the largest rep and
+      // is then reused, so each rep costs one exact-size copy.
+      obs::TraceTape scratch;
       for (std::size_t rep = w; rep < shape.reps; rep += shape.threads) {
         if (stop_requested()) return;
         if (!quarantine && rep > first_failed.load(std::memory_order_relaxed))
           return;
         if (observed) {
-          // Buffer the rep's callback stream privately; the fold below
-          // replays the buffers into the real observer in rep order, so the
+          // Record the rep's callback stream privately; the fold below
+          // replays the tapes into the real observer in rep order, so the
           // observer sees the serial stream regardless of scheduling.
-          std::vector<obs::TraceRecord> records;
-          obs::TraceRecorder recorder(records);
+          scratch.clear();
           RepOutcome<Result> out =
-              attempt_rep<Result>(shape, worker, rep, &recorder);
-          out.records = std::move(records);
+              attempt_rep<Result>(shape, worker, rep, &scratch);
+          out.tape = scratch;
           outcomes[rep] = std::move(out);
         } else {
           outcomes[rep] = attempt_rep<Result>(shape, worker, rep, nullptr);
@@ -253,11 +257,16 @@ Stats run_reps(const BatchShape& shape, const MakeWorker& make_worker) {
   }
 
   // Fold in rep order — the serial run's exact floating-point sequence —
-  // replaying each rep's buffered callbacks first, so an observer's event
-  // stream interleaves with the fold exactly as a serial run's would.
+  // replaying each rep's tape first, so an observer's event stream
+  // interleaves with the fold exactly as a serial run's would. One reader
+  // serves every tape, so the replay reuses its decode buffers.
+  obs::TraceTapeReader reader;
   for (std::size_t rep = 0; rep < shape.reps; ++rep) {
     SYNRAN_CHECK_MSG(done[rep] != 0, "worker skipped a repetition");
-    if (observed) obs::replay(outcomes[rep].records, *shape.observer);
+    if (observed) {
+      reader.rewind(outcomes[rep].tape);
+      reader.replay(*shape.observer);
+    }
     if (outcomes[rep].ok) {
       stats.add(outcomes[rep].result);
     } else {

@@ -2,57 +2,6 @@
 
 namespace synran::obs {
 
-void TraceRecorder::on_run_begin(const RunInfo& info) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::RunBegin;
-  r.begin = info;
-  sink_->push_back(std::move(r));
-}
-
-void TraceRecorder::on_round_begin(const RoundObservation& round) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::RoundBegin;
-  r.round = round;
-  sink_->push_back(std::move(r));
-}
-
-void TraceRecorder::on_fault_plan(Round round, const FaultPlan& plan) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::FaultPlan;
-  r.plan_round = round;
-  r.plan = plan;
-  sink_->push_back(std::move(r));
-}
-
-void TraceRecorder::on_deliveries(Round round, std::uint64_t delivered) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::Deliveries;
-  r.plan_round = round;
-  r.delivered = delivered;
-  sink_->push_back(std::move(r));
-}
-
-void TraceRecorder::on_round_end(const RoundObservation& round) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::RoundEnd;
-  r.round = round;
-  sink_->push_back(std::move(r));
-}
-
-void TraceRecorder::on_run_end(const RunObservation& result) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::RunEnd;
-  r.end = result;
-  sink_->push_back(std::move(r));
-}
-
-void TraceRecorder::on_run_abandoned(const RunAbandoned& failure) {
-  TraceRecord r;
-  r.kind = TraceRecordKind::RunAbandoned;
-  r.abandoned = failure;
-  sink_->push_back(std::move(r));
-}
-
 void replay(const TraceRecord& record, EngineObserver& to) {
   switch (record.kind) {
     case TraceRecordKind::RunBegin:
@@ -77,10 +26,6 @@ void replay(const TraceRecord& record, EngineObserver& to) {
       to.on_run_abandoned(record.abandoned);
       break;
   }
-}
-
-void replay(const std::vector<TraceRecord>& records, EngineObserver& to) {
-  for (const TraceRecord& r : records) replay(r, to);
 }
 
 }  // namespace synran::obs

@@ -1,21 +1,19 @@
-// In-memory trace events: the lingua franca of the trace subsystem.
+// In-memory trace events: the unit the trace readers yield.
 //
-// A TraceRecord is one EngineObserver callback, reified. TraceRecorder
-// captures a callback stream into a vector (the executor buffers per-rep
-// records this way so parallel tracing can replay them in rep order), the
-// binary/JSONL readers decode files back into records, and replay() turns a
-// record sequence into callbacks again — so any reader can drive any writer
-// or aggregator, and "convert" is reader → replay → writer.
+// A TraceRecord is one EngineObserver callback, reified. The binary/JSONL
+// readers decode files back into records, TraceTapeReader decodes an
+// in-memory TraceTape (trace_tape.hpp) into them, and replay() turns a
+// record into its callback again — so any reader can drive any writer or
+// aggregator, and "convert" is reader → replay → writer.
 //
 // Kinds RoundBegin/FaultPlan/Deliveries exist only in memory: the trace
 // file schemas persist run_begin / round(= on_round_end) / run_end /
-// run_abandoned, but a recorder must preserve the full callback stream so
-// replaying into a live observer (metrics, a future exporter) is
-// indistinguishable from observing the engine directly.
+// run_abandoned, while a tape keeps the full callback stream so replaying
+// into a live observer (metrics, a future exporter) is indistinguishable
+// from observing the engine directly.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "obs/observer.hpp"
 
@@ -31,9 +29,10 @@ enum class TraceRecordKind : std::uint8_t {
   RunAbandoned,
 };
 
-/// One observer callback. Only the fields for `kind` are meaningful; the
-/// rest stay default-constructed (the struct is small and reps are bounded,
-/// so a tagged union is not worth the access ceremony).
+/// One observer callback. Only the fields for `kind` are meaningful: the
+/// file readers reset the rest, while TraceTapeReader leaves them as they
+/// were so one reused record keeps its plan buffers (a tagged union is not
+/// worth the access ceremony).
 struct TraceRecord {
   TraceRecordKind kind = TraceRecordKind::RunBegin;
   RunInfo begin;             ///< RunBegin
@@ -45,30 +44,7 @@ struct TraceRecord {
   RunAbandoned abandoned;    ///< RunAbandoned
 };
 
-/// Captures the callback stream into a borrowed vector (cleared on
-/// construction), preserving callback order and every payload.
-class TraceRecorder final : public EngineObserver {
- public:
-  explicit TraceRecorder(std::vector<TraceRecord>& sink) : sink_(&sink) {
-    sink_->clear();
-  }
-
-  void on_run_begin(const RunInfo& info) override;
-  void on_round_begin(const RoundObservation& round) override;
-  void on_fault_plan(Round round, const FaultPlan& plan) override;
-  void on_deliveries(Round round, std::uint64_t delivered) override;
-  void on_round_end(const RoundObservation& round) override;
-  void on_run_end(const RunObservation& result) override;
-  void on_run_abandoned(const RunAbandoned& failure) override;
-
- private:
-  std::vector<TraceRecord>* sink_;
-};
-
 /// Re-fires one record as the corresponding callback on `to`.
 void replay(const TraceRecord& record, EngineObserver& to);
-
-/// Re-fires a captured stream in order.
-void replay(const std::vector<TraceRecord>& records, EngineObserver& to);
 
 }  // namespace synran::obs

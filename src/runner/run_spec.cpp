@@ -357,6 +357,7 @@ JsonValue read_sync(const Reader& in, RunPlan* plan) {
   check_population(in, n, t, false);
   const auto& pattern = in.pick("pattern", kPatterns, "random");
   const std::uint64_t reps = in.u64("reps", 50);
+  if (reps == 0) throw SpecError(in.key("reps") + " must be >= 1");
   const std::uint64_t seed = in.u64("seed", 1);
   const std::uint32_t max_rounds = in.u32("max_rounds", 100000);
   const auto& policy = in.pick("fail_policy", kPolicies, "fail_fast");
@@ -427,6 +428,7 @@ JsonValue read_async(const Reader& in, RunPlan* plan) {
   check_population(in, n, t, true);
   const auto& pattern = in.pick("pattern", kPatterns, "random");
   const std::uint64_t reps = in.u64("reps", 50);
+  if (reps == 0) throw SpecError(in.key("reps") + " must be >= 1");
   const std::uint64_t seed = in.u64("seed", 1);
   const std::uint64_t max_steps = in.u64("max_steps", 2000000);
   const std::uint64_t max_time = in.u64("max_time", 0);

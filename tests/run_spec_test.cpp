@@ -106,6 +106,10 @@ TEST(RunSpec, ErrorsNameTheKeyInTheCallersSpelling) {
       {{{"n", "8"}, {"t", "9"}}, R"({"n":8,"t":9})", "--t must be <= --n",
        "config.t must be <= config.n"},
       {{{"n", "0"}}, R"({"n":0})", "--n must be >= 1", "config.n must be >= 1"},
+      {{{"reps", "0"}}, R"({"reps":0})", "--reps must be >= 1",
+       "config.reps must be >= 1"},
+      {{{"model", "async"}, {"reps", "0"}}, R"({"model":"async","reps":0})",
+       "--reps must be >= 1", "config.reps must be >= 1"},
       {{{"model", "async"}, {"n", "4"}, {"t", "4"}},
        R"({"model":"async","n":4,"t":4})", "--t must be < --n",
        "config.t must be < config.n"},

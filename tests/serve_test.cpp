@@ -435,6 +435,21 @@ TEST(Server, PingStatsAndBadRequestOverOneStream) {
   EXPECT_NE(stats.find("result")->find("counters"), nullptr);
 }
 
+TEST(Server, ZeroRepsIsABadRequestNotARunFailure) {
+  // reps = 0 fails validation, like every other impossible config, instead
+  // of reaching the executor.
+  const std::string dir = temp_dir("srv_zero_reps");
+  Server server(test_options(dir + "/cache"));
+  const auto result = serve_over_files(
+      server, dir,
+      {R"({"schema":"synran-req/1","id":"z","cmd":"run",)"
+       R"("config":{"n":8,"reps":0}})"});
+  ASSERT_EQ(result.bodies.size(), 1u);
+  const JsonValue reply = parse_json(result.bodies[0]);
+  EXPECT_FALSE(reply.find("ok")->as_bool());
+  EXPECT_EQ(reply.find("error")->find("code")->as_string(), "bad_request");
+}
+
 TEST(Server, ComputeHitAndRestartResponsesAreByteIdentical) {
   const std::string dir = temp_dir("srv_identity");
   const std::vector<std::string> reqs = {tiny_run("q")};

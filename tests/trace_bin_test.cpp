@@ -21,6 +21,7 @@
 #include "obs/trace_format.hpp"
 #include "obs/trace_reader.hpp"
 #include "obs/trace_record.hpp"
+#include "obs/trace_tape.hpp"
 #include "obs/trace_writer.hpp"
 #include "protocols/synran.hpp"
 #include "runner/experiment.hpp"
@@ -35,11 +36,19 @@ AdversaryFactory coinbias() {
   };
 }
 
+/// A recorded callback stream read back as records.
+std::vector<obs::TraceRecord> records_of(const obs::TraceTape& tape) {
+  obs::TraceTapeReader reader(tape);
+  std::vector<obs::TraceRecord> records;
+  obs::TraceRecord record;
+  while (reader.next(record)) records.push_back(record);
+  return records;
+}
+
 /// One small attacked batch's callback stream, captured once.
 const std::vector<obs::TraceRecord>& batch_records() {
   static const std::vector<obs::TraceRecord> records = [] {
-    std::vector<obs::TraceRecord> recs;
-    obs::TraceRecorder recorder(recs);
+    obs::TraceTape recorder;
     SynRanFactory protocol;
     RepeatSpec spec;
     spec.n = 16;
@@ -49,7 +58,7 @@ const std::vector<obs::TraceRecord>& batch_records() {
     spec.engine.t_budget = 8;
     spec.engine.observer = &recorder;
     run_repeated(protocol, coinbias(), spec);
-    return recs;
+    return records_of(recorder);
   }();
   return records;
 }
@@ -58,8 +67,7 @@ const std::vector<obs::TraceRecord>& batch_records() {
 /// extreme values (a top-bit seed, zero rounds) without needing an
 /// omission adversary.
 std::vector<obs::TraceRecord> omission_records() {
-  std::vector<obs::TraceRecord> recs;
-  obs::TraceRecorder recorder(recs);
+  obs::TraceTape recorder;
 
   obs::RunInfo info;
   info.n = 32;
@@ -99,13 +107,13 @@ std::vector<obs::TraceRecord> omission_records() {
 
   recorder.on_run_abandoned(
       obs::RunAbandoned{1, 0x8000'0000'0000'0001ULL, 0, "setup exploded"});
-  return recs;
+  return records_of(recorder);
 }
 
 std::string to_jsonl(const std::vector<obs::TraceRecord>& records) {
   std::ostringstream out;
   obs::JsonlTraceWriter writer(out);
-  obs::replay(records, writer);
+  for (const obs::TraceRecord& r : records) obs::replay(r, writer);
   writer.close();
   return out.str();
 }
@@ -113,7 +121,7 @@ std::string to_jsonl(const std::vector<obs::TraceRecord>& records) {
 std::string to_binary(const std::vector<obs::TraceRecord>& records) {
   std::ostringstream out;
   obs::BinaryTraceWriter writer(out, obs::Trace2Header{2, "deadbeef"});
-  obs::replay(records, writer);
+  for (const obs::TraceRecord& r : records) obs::replay(r, writer);
   writer.close();
   return out.str();
 }
@@ -163,8 +171,7 @@ TEST(TraceBinRoundTrip, CorruptionFieldsRideAfterTheOmissionExtras) {
   // A stream with both fault families active: the corruption varint pair is
   // encoded after the omission pair on every record kind, and both must
   // survive the binary round trip exactly.
-  std::vector<obs::TraceRecord> recs;
-  obs::TraceRecorder recorder(recs);
+  obs::TraceTape recorder;
 
   obs::RunInfo info;
   info.n = 24;
@@ -205,6 +212,7 @@ TEST(TraceBinRoundTrip, CorruptionFieldsRideAfterTheOmissionExtras) {
   end.survivors = 24;
   recorder.on_run_end(end);
 
+  const auto recs = records_of(recorder);
   EXPECT_EQ(to_jsonl(recs), to_jsonl(decode(to_binary(recs))));
   const auto decoded = decode(to_binary(recs));
   ASSERT_EQ(decoded.size(), recs.size());

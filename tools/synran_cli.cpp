@@ -44,6 +44,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "async/benor.hpp"
 #include "coin/forcing.hpp"
@@ -86,17 +87,17 @@ class Args {
       }
       const std::string arg = argv[i] + 2;
       if (const auto eq = arg.find('='); eq != std::string::npos) {
-        kv_[arg.substr(0, eq)] = arg.substr(eq + 1);
+        set(arg.substr(0, eq), arg.substr(eq + 1));
         continue;
       }
       if (flags.count(arg) != 0) {
-        kv_[arg] = "1";
+        set(arg, "1");
         continue;
       }
       if (i + 1 >= argc) {
         throw UsageError("missing value for '--" + arg + "'");
       }
-      kv_[arg] = argv[++i];
+      set(arg, argv[++i]);
     }
   }
 
@@ -122,6 +123,13 @@ class Args {
   }
 
  private:
+  /// A flag given twice is a usage error in either spelling, never a
+  /// silent last-one-wins.
+  void set(const std::string& key, std::string value) {
+    if (!kv_.emplace(key, std::move(value)).second)
+      throw UsageError("flag --" + key + " given more than once");
+  }
+
   FlagMap kv_;
 };
 
@@ -329,6 +337,7 @@ int cmd_run(const Args& args) {
 int cmd_coin(const Args& args) {
   args.only({"n", "game", "budget", "samples", "seed"});
   const auto n = args.num32("n", 256);
+  if (n == 0) throw UsageError("--n must be >= 1");
   const auto game_name = args.get("game", "majority");
   std::unique_ptr<CoinGame> game;
   if (game_name == "majority")
