@@ -238,6 +238,45 @@ TEST(ValencySamplingTest, SafeAndBudgetDisciplined) {
   for (auto c : res.crashes_per_round) EXPECT_LE(c, 4u);
 }
 
+// ------------------------------------------------- valency (MC) golden
+
+TEST(RolloutGolden, ValencySamplingBatchCheckpointIsPinned) {
+  // A seeded batch whose every plan is chosen by Monte-Carlo rollouts: the
+  // checkpoint bytes pin each rollout's coin streams and outcomes, not just
+  // the 0/1 extremes a single estimate can show.
+  SynRanFactory factory;
+  RepeatSpec spec;
+  spec.n = 24;
+  spec.pattern = InputPattern::Half;
+  spec.reps = 3;
+  spec.seed = 2024;
+  spec.engine.t_budget = 23;
+  spec.engine.max_rounds = 2000;
+  const auto stats = run_repeated(
+      factory,
+      [](std::uint64_t seed) -> std::unique_ptr<Adversary> {
+        ValencySamplingOptions o;
+        o.rollouts = 6;
+        o.seed = seed;
+        return std::make_unique<ValencySamplingAdversary>(o);
+      },
+      spec);
+  const std::string pinned =
+      R"({"stats":{"counters":{"agreement_failures":0,"decided_one":1,"non_te)"
+      R"(rminated":0,"reps":3,"reps_quarantined":0,"validity_failures":0},"ga)"
+      R"(uges":{},"histograms":{},"summaries":{"corruptions_used":{"count":3,)"
+      R"("mean":0,"m2":0,"min":0,"max":0},"crashes_used":{"count":3,"mean":14)"
+      R"(.333333333333334,"m2":0.666666666666667,"min":14,"max":15},"messages)"
+      R"(_corrupted":{"count":3,"mean":0,"m2":0,"min":0,"max":0},"messages_de)"
+      R"(livered":{"count":3,"mean":873.3333333333334,"m2":352424.6666666667,)"
+      R"("min":625,"max":1358},"messages_omitted":{"count":3,"mean":0,"m2":0,)"
+      R"("min":0,"max":0},"omissions_used":{"count":3,"mean":0,"m2":0,"min":0)"
+      R"(,"max":0},"rounds_to_decision":{"count":3,"mean":5,"m2":6,"min":4,"m)"
+      R"(ax":7},"rounds_to_halt":{"count":3,"mean":7.333333333333333,"m2":8.6)"
+      R"(66666666666666,"min":5,"max":9}}},"failures":[]})";
+  EXPECT_EQ(stats.checkpoint_json().dump(), pinned);
+}
+
 // ------------------------------------------- closed-form N^{r-1} prediction
 
 /// What a PredictionProbe saw over one run.

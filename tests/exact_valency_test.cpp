@@ -81,6 +81,40 @@ TEST(EvaluateAfterPlanTest, BudgetThreadsThroughTheFork) {
   EXPECT_TRUE(probed);
 }
 
+TEST(EvaluateAfterPlanTest, PinnedVerdicts) {
+  // The full verdicts of the three mid-execution queries above, including
+  // the classes and how many states each evaluation visited.
+  FloodMinFactory factory({1, false});
+  bool probed = false;
+  ProbeAdversary probe([&](const WorldView& w) {
+    ValencyOptions vopts;
+    vopts.max_depth = 6;
+    const auto expect = [&](const FaultPlan& plan, double value,
+                            std::uint64_t states, const char* what) {
+      const auto v = evaluate_after_plan(w, plan, vopts, 2.0);
+      EXPECT_DOUBLE_EQ(v.min_r.lo, value) << what;
+      EXPECT_DOUBLE_EQ(v.min_r.hi, value) << what;
+      EXPECT_DOUBLE_EQ(v.max_r.lo, value) << what;
+      EXPECT_DOUBLE_EQ(v.max_r.hi, value) << what;
+      EXPECT_EQ(v.classes, 8u) << what;  // null-valent at n = 3, k = 2
+      EXPECT_EQ(v.states_visited, states) << what;
+      EXPECT_FALSE(v.saw_disagreement) << what;
+    };
+    expect(FaultPlan{}, 0.0, 14, "deliver everything");
+    FaultPlan hide0;
+    hide0.crashes.push_back({0, DynBitset(w.n())});
+    expect(hide0, 1.0, 2, "silence the 0-holder");
+    FaultPlan hide1;
+    hide1.crashes.push_back({1, DynBitset(w.n())});
+    expect(hide1, 0.0, 2, "silence a 1-holder");
+    probed = true;
+  });
+  EngineOptions opts;
+  opts.t_budget = 1;
+  run_once(factory, {Bit::Zero, Bit::One, Bit::One}, probe, opts);
+  EXPECT_TRUE(probed);
+}
+
 TEST(EvaluateAfterPlanTest, RejectsOverBudgetPlans) {
   FloodMinFactory factory({1, false});
   ProbeAdversary probe([&](const WorldView& w) {

@@ -214,5 +214,56 @@ TEST(Lemma35Test, SynRanChainContainsBivalentOrNullState) {
   EXPECT_FALSE(f.verdict.saw_disagreement);
 }
 
+// ------------------------------------------------------------------ golden
+
+TEST(ValencyEngineGolden, E9InitialStatesArePinned) {
+  // Every row of bench_e9_valency_exact's E9a/E9b tables: the min/max r
+  // bounds, the consistent classes and the number of states the game-tree
+  // walk visits. `states` pins the shape of the search itself, so a change
+  // to the round step or the memo key shows here even when the bounds hold.
+  struct Row {
+    bool synran;
+    std::uint32_t inputs;  ///< bit i = x_i
+    double min_lo, min_hi, max_lo, max_hi;
+    std::uint8_t classes;
+    std::uint64_t states;
+  };
+  const Row rows[] = {
+      {false, 0, 0, 0, 0, 0, 2, 39},    {false, 1, 0, 0, 0, 0, 2, 39},
+      {false, 2, 0, 0, 0, 0, 2, 39},    {false, 3, 0, 0, 1, 1, 1, 39},
+      {false, 4, 0, 0, 0, 0, 2, 39},    {false, 5, 0, 0, 1, 1, 1, 39},
+      {false, 6, 0, 0, 1, 1, 1, 39},    {false, 7, 1, 1, 1, 1, 4, 39},
+      {true, 0, 0, 0, 0, 0, 2, 138},    {true, 1, 0, 0, 0, 0, 2, 138},
+      {true, 2, 0, 0, 0, 0, 2, 138},    {true, 3, 0, 0, 1, 1, 1, 477},
+      {true, 4, 0, 0, 0, 0, 2, 138},    {true, 5, 0, 0, 1, 1, 1, 477},
+      {true, 6, 0, 0, 1, 1, 1, 477},    {true, 7, 1, 1, 1, 1, 4, 138},
+  };
+  FloodMinFactory flood({1, false});
+  SynRanFactory synran;
+  ValencyOptions flood_opts;
+  flood_opts.t_budget = 1;
+  flood_opts.max_depth = 6;
+  ValencyOptions synran_opts;
+  synran_opts.t_budget = 1;
+  synran_opts.max_depth = 14;
+  for (const Row& row : rows) {
+    std::vector<Bit> inputs;
+    for (std::uint32_t i = 0; i < 3; ++i)
+      inputs.push_back(bit_of((row.inputs >> i) & 1));
+    const auto v =
+        row.synran ? evaluate_initial_state(synran, inputs, synran_opts)
+                   : evaluate_initial_state(flood, inputs, flood_opts);
+    const std::string at = std::string(row.synran ? "synran" : "floodmin") +
+                           " inputs " + std::to_string(row.inputs);
+    EXPECT_DOUBLE_EQ(v.min_r.lo, row.min_lo) << at;
+    EXPECT_DOUBLE_EQ(v.min_r.hi, row.min_hi) << at;
+    EXPECT_DOUBLE_EQ(v.max_r.lo, row.max_lo) << at;
+    EXPECT_DOUBLE_EQ(v.max_r.hi, row.max_hi) << at;
+    EXPECT_EQ(v.classes, row.classes) << at;
+    EXPECT_EQ(v.states_visited, row.states) << at;
+    EXPECT_FALSE(v.saw_disagreement) << at;
+  }
+}
+
 }  // namespace
 }  // namespace synran

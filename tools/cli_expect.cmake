@@ -2,10 +2,12 @@
 # substring of its combined stdout+stderr. Driven from add_test():
 #
 #   cmake -DCLI=<path> "-DARGS=run;--threads;0x" -DEXPECT_RC=2
-#         [-DEXPECT_OUT=<substring>] [-DREMOVE=<file>]
-#         [-DCOPY_FROM=<file> -DCOPY_TO=<file>] -P cli_expect.cmake
+#         [-DEXPECT_OUT=<substring>] [-DEXPECT_STDOUT_FILE=<file>]
+#         [-DREMOVE=<file>] [-DCOPY_FROM=<file> -DCOPY_TO=<file>]
+#         -P cli_expect.cmake
 #
 # ARGS is a ;-separated list. A mismatch prints the full output and fails.
+# EXPECT_STDOUT_FILE pins stdout byte for byte to a checked-in file.
 # REMOVE deletes a file first (e.g. a stale checkpoint ledger, so a resume
 # test's recording run starts from nothing); COPY_FROM/COPY_TO then puts a
 # checked-in fixture where the run can modify it.
@@ -38,5 +40,14 @@ if(DEFINED EXPECT_OUT)
   if(pos EQUAL -1)
     message(FATAL_ERROR
       "output does not contain '${EXPECT_OUT}'\n--- output ---\n${combined}")
+  endif()
+endif()
+
+if(DEFINED EXPECT_STDOUT_FILE)
+  file(READ "${EXPECT_STDOUT_FILE}" expected)
+  if(NOT out STREQUAL expected)
+    message(FATAL_ERROR
+      "stdout differs from ${EXPECT_STDOUT_FILE}\n--- expected ---\n"
+      "${expected}--- got ---\n${out}")
   endif()
 endif()
