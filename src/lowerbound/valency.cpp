@@ -7,7 +7,7 @@
 #include "common/check.hpp"
 #include "common/dynbitset.hpp"
 #include "common/rng.hpp"
-#include "net/fabric.hpp"
+#include "sim/execution.hpp"
 
 namespace synran {
 
@@ -71,54 +71,32 @@ bool bounds_decide_unique(std::uint8_t mask) {
 
 namespace {
 
-/// Mid-execution state at a start-of-round boundary (pending receipts not
-/// yet digested).
-struct State {
-  std::uint32_t n = 0;
-  std::vector<std::unique_ptr<Process>> procs;
-  DynBitset alive;
-  DynBitset halted;
-  std::vector<Receipt> receipts;
-  std::vector<bool> have_receipt;
-  std::uint32_t budget = 0;
-
-  State deep_copy() const {
-    State s;
-    s.n = n;
-    s.procs.reserve(procs.size());
-    for (const auto& p : procs) s.procs.push_back(p->clone());
-    s.alive = alive;
-    s.halted = halted;
-    s.receipts = receipts;
-    s.have_receipt = have_receipt;
-    s.budget = budget;
-    return s;
-  }
-
-  std::uint64_t digest() const {
-    auto mix = [](std::uint64_t h, std::uint64_t x) {
-      h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      return h;
-    };
-    std::uint64_t h = alive.hash();
-    h = mix(h, halted.hash());
-    h = mix(h, budget);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!alive.test(i)) continue;
-      h = mix(h, procs[i]->state_digest());
-      if (!halted.test(i)) {
-        h = mix(h, have_receipt[i] ? 1 : 0);
-        if (have_receipt[i]) {
-          h = mix(h, receipts[i].count);
-          h = mix(h, receipts[i].ones);
-          h = mix(h, (static_cast<std::uint64_t>(receipts[i].zeros) << 32) ^
-                         receipts[i].or_mask);
-        }
+/// Memo key of a start-of-round state (pending receipts not yet
+/// digested): survivors, halts, budget, and each live process's state and
+/// pending receipt.
+std::uint64_t digest(const ExecutionState& state) {
+  auto mix = [](std::uint64_t h, std::uint64_t x) {
+    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    return h;
+  };
+  std::uint64_t h = state.alive().hash();
+  h = mix(h, state.halted().hash());
+  h = mix(h, state.budget_left());
+  for (std::uint32_t i = 0; i < state.n(); ++i) {
+    if (!state.alive().test(i)) continue;
+    h = mix(h, state.process(i).state_digest());
+    if (!state.halted().test(i)) {
+      const Receipt* r = state.receipt(i);
+      h = mix(h, r != nullptr ? 1 : 0);
+      if (r != nullptr) {
+        h = mix(h, r->count);
+        h = mix(h, r->ones);
+        h = mix(h, (static_cast<std::uint64_t>(r->zeros) << 32) ^ r->or_mask);
       }
     }
-    return h;
   }
-};
+  return h;
+}
 
 struct EvalValue {
   PInterval min_r{0.0, 1.0};
@@ -132,31 +110,25 @@ class Evaluator {
                    "valency engine supports per-round cap 0 or 1");
   }
 
-  EvalValue eval(const State& state, std::uint32_t depth) {
+  EvalValue eval(const ExecutionState& state, std::uint32_t depth) {
     ++visited_;
     // Terminal: every alive process halted. (A halted process has decided —
     // the Process contract — so the outcome is fixed.)
-    {
-      bool all_halted = true;
-      for (std::uint32_t i = 0; i < state.n && all_halted; ++i)
-        if (state.alive.test(i) && !state.halted.test(i)) all_halted = false;
-      if (all_halted) return terminal_value(state);
-    }
+    if (state.alive().count_and(state.halted()) == state.alive().count())
+      return terminal_value(state);
     if (depth == 0) return EvalValue{};  // [0,1] both
 
-    const std::uint64_t key = state.digest() ^ (0x9e3779b9ULL * depth);
+    const std::uint64_t key = digest(state) ^ (0x9e3779b9ULL * depth);
     if (auto it = memo_.find(key); it != memo_.end()) return it->second;
 
     // --- Phase A: how many coins does each active process want?
-    std::vector<std::uint32_t> coin_need(state.n, 0);
+    std::vector<std::uint32_t> coin_need(state.n(), 0);
     std::uint32_t total_coins = 0;
-    for (std::uint32_t i = 0; i < state.n; ++i) {
-      if (!state.alive.test(i) || state.halted.test(i)) continue;
-      auto probe = state.procs[i]->clone();
+    for (std::uint32_t i = 0; i < state.n(); ++i) {
+      if (!state.alive().test(i) || state.halted().test(i)) continue;
+      auto probe = state.process(i).clone();
       CountingCoinSource counter;
-      const Receipt* prev =
-          state.have_receipt[i] ? &state.receipts[i] : nullptr;
-      (void)probe->on_round(prev, counter);
+      (void)probe->on_round(state.receipt(i), counter);
       coin_need[i] = static_cast<std::uint32_t>(counter.count());
       total_coins += coin_need[i];
     }
@@ -185,73 +157,42 @@ class Evaluator {
   bool saw_disagreement() const { return saw_disagreement_; }
 
  private:
-  EvalValue terminal_value(const State& state) {
-    std::optional<Bit> value;
-    bool disagree = false;
-    for (std::uint32_t i = 0; i < state.n; ++i) {
-      if (!state.alive.test(i)) continue;
-      SYNRAN_CHECK(state.procs[i]->decided());
-      const Bit d = state.procs[i]->decision();
-      if (!value.has_value())
-        value = d;
-      else if (*value != d)
-        disagree = true;
-    }
-    if (disagree || !value.has_value()) {
-      saw_disagreement_ = disagree;
+  EvalValue terminal_value(const ExecutionState& state) {
+    const SurvivorVerdict v = state.verdict();
+    SYNRAN_CHECK(v.all_decided);
+    if (!v.agreement) {
+      if (v.has_decision) saw_disagreement_ = true;
       return EvalValue{};  // [0,1]: no meaningful probability
     }
-    const double p = *value == Bit::One ? 1.0 : 0.0;
+    const double p = v.decision == Bit::One ? 1.0 : 0.0;
     return EvalValue{{p, p}, {p, p}};
   }
 
   /// Runs phase A under one concrete coin assignment, then min/maxes over
   /// the adversary's fault plans.
-  EvalValue eval_after_coins(const State& state,
+  EvalValue eval_after_coins(const ExecutionState& state,
                              const std::vector<std::uint32_t>& coin_need,
                              std::uint64_t bits, std::uint32_t depth) {
-    State post = state.deep_copy();
-    std::vector<std::optional<Payload>> payloads(post.n);
+    ExecutionState post = state;
     std::uint32_t offset = 0;
-    bool anyone_sending = false;
-    for (std::uint32_t i = 0; i < post.n; ++i) {
-      if (!post.alive.test(i) || post.halted.test(i)) continue;
-      std::vector<bool> tape(coin_need[i]);
+    TapeCoinSource tape;
+    const bool anyone_sending = post.phase_a([&](ProcessId i) -> CoinSource& {
+      std::vector<bool> flips(coin_need[i]);
       for (std::uint32_t c = 0; c < coin_need[i]; ++c)
-        tape[c] = (bits >> (offset + c)) & 1;
+        flips[c] = (bits >> (offset + c)) & 1;
       offset += coin_need[i];
-      TapeCoinSource coins(std::move(tape));
-      const Receipt* prev = post.have_receipt[i] ? &post.receipts[i] : nullptr;
-      payloads[i] = post.procs[i]->on_round(prev, coins);
-      if (!payloads[i].has_value())
-        post.halted.set(i);
-      else
-        anyone_sending = true;
-    }
-
+      tape.reset(std::move(flips));
+      return tape;
+    });
     if (!anyone_sending) return terminal_value(post);
-
-    // Active receivers (will digest this round's receipt).
-    DynBitset active = post.alive;
-    post.halted.for_each_set([&](std::size_t i) { active.reset(i); });
 
     // Candidate plans: no-crash, plus (victim, delivery-mask) for every
     // sender and every subset of the other active receivers.
     EvalValue best;
     bool first = true;
     const auto consider = [&](const FaultPlan& plan) {
-      State child = post.deep_copy();
-      DynBitset receivers = active;
-      for (const auto& c : plan.crashes) receivers.reset(c.victim);
-      RoundTraffic traffic{payloads, &plan};
-      const auto delivered = deliver(child.n, traffic, receivers);
-      receivers.for_each_set([&](std::size_t i) {
-        child.receipts[i] = delivered[i];
-        child.have_receipt[i] = true;
-      });
-      for (const auto& c : plan.crashes) child.alive.reset(c.victim);
-      child.budget -= static_cast<std::uint32_t>(plan.crash_count());
-
+      ExecutionState child = post;
+      child.apply(plan);
       const EvalValue v = eval(child, depth - 1);
       if (first) {
         best = v;
@@ -265,13 +206,14 @@ class Evaluator {
     };
 
     consider(FaultPlan{});
-    if (post.budget > 0 && opts_.per_round_cap >= 1) {
-      for (std::uint32_t s = 0; s < post.n; ++s) {
-        if (!payloads[s].has_value()) continue;
+    if (post.budget_left() > 0 && opts_.per_round_cap >= 1) {
+      for (std::uint32_t s = 0; s < post.n(); ++s) {
+        if (!post.payloads()[s].has_value()) continue;
         // Delivery subsets range over the other active receivers.
         std::vector<std::uint32_t> others;
-        for (std::uint32_t r = 0; r < post.n; ++r)
-          if (r != s && active.test(r)) others.push_back(r);
+        for (std::uint32_t r = 0; r < post.n(); ++r)
+          if (r != s && post.alive().test(r) && !post.halted().test(r))
+            others.push_back(r);
         const std::uint64_t subsets = 1ULL << others.size();
         SYNRAN_REQUIRE(others.size() <= 16,
                        "delivery-mask enumeration too large");
@@ -279,7 +221,7 @@ class Evaluator {
           FaultPlan plan;
           CrashDirective c;
           c.victim = s;
-          c.deliver_to = DynBitset(post.n);
+          c.deliver_to = DynBitset(post.n());
           for (std::size_t j = 0; j < others.size(); ++j)
             if ((m >> j) & 1) c.deliver_to.set(others[j]);
           plan.crashes.push_back(std::move(c));
@@ -296,22 +238,6 @@ class Evaluator {
   bool saw_disagreement_ = false;
 };
 
-State initial_state(const ProcessFactory& factory,
-                    const std::vector<Bit>& inputs,
-                    const ValencyOptions& options) {
-  State s;
-  s.n = static_cast<std::uint32_t>(inputs.size());
-  s.alive = DynBitset(s.n, true);
-  s.halted = DynBitset(s.n, false);
-  s.receipts.assign(s.n, Receipt{});
-  s.have_receipt.assign(s.n, false);
-  s.budget = options.t_budget;
-  s.procs.reserve(s.n);
-  for (std::uint32_t i = 0; i < s.n; ++i)
-    s.procs.push_back(factory.make(i, s.n, inputs[i]));
-  return s;
-}
-
 }  // namespace
 
 ValencyVerdict evaluate_initial_state(const ProcessFactory& factory,
@@ -323,7 +249,8 @@ ValencyVerdict evaluate_initial_state(const ProcessFactory& factory,
                  "t must leave at least one process alive");
 
   Evaluator ev(options);
-  const State s0 = initial_state(factory, inputs, options);
+  ExecutionState s0;
+  s0.start(factory, inputs, options.t_budget);
   const EvalValue v = ev.eval(s0, options.max_depth);
 
   ValencyVerdict out;
@@ -344,32 +271,10 @@ ValencyVerdict evaluate_after_plan(const WorldView& world,
   SYNRAN_REQUIRE(plan.crash_count() <= world.budget_left(),
                  "plan exceeds the execution's remaining budget");
 
-  // Reconstruct a start-of-round state: clone the processes (already past
-  // phase A), apply the plan's deliveries, and charge the budget.
-  State post;
-  post.n = world.n();
-  post.alive = world.alive();
-  post.halted = world.halted();
-  post.receipts.assign(post.n, Receipt{});
-  post.have_receipt.assign(post.n, false);
-  post.budget =
-      world.budget_left() - static_cast<std::uint32_t>(plan.crash_count());
-  post.procs.reserve(post.n);
-  for (ProcessId i = 0; i < post.n; ++i)
-    post.procs.push_back(world.process(i).clone());
-
-  DynBitset receivers = post.alive;
-  for (const auto& c : plan.crashes) receivers.reset(c.victim);
-  DynBitset active = receivers;
-  post.halted.for_each_set([&](std::size_t i) { active.reset(i); });
-
-  RoundTraffic traffic{world.payloads(), &plan};
-  const auto delivered = deliver(post.n, traffic, active);
-  active.for_each_set([&](std::size_t i) {
-    post.receipts[i] = delivered[i];
-    post.have_receipt[i] = true;
-  });
-  for (const auto& c : plan.crashes) post.alive.reset(c.victim);
+  // The start-of-round state the plan leads to: fork the processes
+  // (already past phase A), deliver under the plan and charge the budget.
+  ExecutionState post = ExecutionState::fork(world);
+  post.apply(plan);
 
   Evaluator ev(options);
   const EvalValue v = ev.eval(post, options.max_depth);

@@ -1,5 +1,6 @@
 #include "runner/narrate.hpp"
 
+#include <cstdint>
 #include <iomanip>
 #include <ostream>
 #include <string>
@@ -8,7 +9,9 @@ namespace synran {
 
 namespace {
 
-std::string composition_bar(const RoundTrace& r, std::size_t width) {
+using obs::RoundObservation;
+
+std::string composition_bar(const RoundObservation& r, std::size_t width) {
   if (r.senders == 0) return std::string(width, '.');
   const auto ones = static_cast<std::size_t>(
       static_cast<double>(r.ones) / r.senders * static_cast<double>(width) +
@@ -18,14 +21,15 @@ std::string composition_bar(const RoundTrace& r, std::size_t width) {
   return bar;
 }
 
-bool same_shape(const RoundTrace& a, const RoundTrace& b) {
+bool same_shape(const RoundObservation& a, const RoundObservation& b) {
   return a.alive == b.alive && a.halted == b.halted &&
          a.senders == b.senders && a.ones == b.ones && a.zeros == b.zeros &&
-         a.crashes == b.crashes && a.decided == b.decided;
+         a.deterministic == b.deterministic && a.crashes == b.crashes &&
+         a.decided == b.decided;
 }
 
-void emit_line(std::ostream& os, const RoundTrace& r, std::size_t repeat,
-               std::size_t width) {
+void emit_line(std::ostream& os, const RoundObservation& r,
+               std::size_t repeat, std::size_t width) {
   os << "r" << std::setw(4) << std::left << r.round << std::right << " ["
      << composition_bar(r, width) << "] " << std::setw(4) << r.ones << "x1 "
      << std::setw(4) << r.zeros << "x0  alive " << std::setw(4) << r.alive
@@ -39,20 +43,21 @@ void emit_line(std::ostream& os, const RoundTrace& r, std::size_t repeat,
 
 }  // namespace
 
-void narrate(const Trace& trace, std::ostream& os,
+void narrate(const RoundLog& log, std::ostream& os,
              const NarrateOptions& options) {
-  os << "execution narrative: n = " << trace.n << ", t = " << trace.t_budget
-     << ", " << trace.rounds.size() << " rounds, "
-     << trace.total_crashes() << " crashes\n";
+  const auto& rounds = log.rounds();
+  std::uint32_t crashes = 0;
+  for (const auto& r : rounds) crashes += r.crashes;
+  os << "execution narrative: n = " << log.info().n
+     << ", t = " << log.info().t_budget << ", " << rounds.size()
+     << " rounds, " << crashes << " crashes\n";
   std::size_t i = 0;
-  while (i < trace.rounds.size()) {
+  while (i < rounds.size()) {
     std::size_t j = i + 1;
     if (options.collapse_repeats) {
-      while (j < trace.rounds.size() &&
-             same_shape(trace.rounds[i], trace.rounds[j]))
-        ++j;
+      while (j < rounds.size() && same_shape(rounds[i], rounds[j])) ++j;
     }
-    emit_line(os, trace.rounds[i], j - i, options.bar_width);
+    emit_line(os, rounds[i], j - i, options.bar_width);
     i = j;
   }
 }

@@ -1,9 +1,8 @@
 // Runtime invariant auditor for the §3.1 adversary model.
 //
-// The engine's correctness story has two layers: TracingAdversary +
-// check_model_invariants re-verify a *finished* execution from its recorded
-// trace, while this auditor validates every round *as it happens*, with
-// enough context to name the offender. It enforces, per round:
+// This auditor validates every round of an execution *as it happens*, with
+// enough context to name the offender (observers only report; see
+// obs/observer.hpp). It enforces, per round:
 //
 //   * cumulative crashes never exceed the global budget t;
 //   * per-round crashes respect the per-round cap (class-B adversaries);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "net/fabric.hpp"
 #include "obs/observer.hpp"
 #include "sim/audit.hpp"
 
@@ -12,20 +11,15 @@ namespace synran {
 namespace {
 
 /// Snapshot of the engine state right after phase A, in observer vocabulary.
-obs::RoundObservation observe_round(
-    Round round, std::uint32_t n, const DynBitset& alive,
-    const DynBitset& halted,
-    const std::vector<std::optional<Payload>>& payloads,
-    const std::vector<std::unique_ptr<Process>>& procs,
-    std::uint32_t budget_left) {
+obs::RoundObservation observe_round(Round round, const ExecutionState& st) {
   obs::RoundObservation ro;
   ro.round = round;
-  ro.alive = static_cast<std::uint32_t>(alive.count());
-  ro.halted = static_cast<std::uint32_t>(halted.count());
-  ro.budget_left = budget_left;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (alive.test(i) && procs[i]->decided()) ++ro.decided;
-    const auto& p = payloads[i];
+  ro.alive = static_cast<std::uint32_t>(st.alive().count());
+  ro.halted = static_cast<std::uint32_t>(st.halted().count());
+  ro.budget_left = st.budget_left();
+  for (std::uint32_t i = 0; i < st.n(); ++i) {
+    if (st.alive().test(i) && st.process(i).decided()) ++ro.decided;
+    const auto& p = st.payloads()[i];
     if (!p.has_value()) continue;
     ++ro.senders;
     if (payload::supports(*p, Bit::One)) ++ro.ones;
@@ -58,13 +52,12 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
   const auto n = static_cast<std::uint32_t>(inputs.size());
   SeedSequence seeds(options.seed);
 
-  ws_.prepare(n);
-  auto& procs = ws_.procs_;
+  ExecutionState& st = ws_.state_;
+  st.start(factory, inputs, options.t_budget);
   auto& coins = ws_.coins_;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    procs[i] = factory.make(i, n, inputs[i]);
-    coins[i].reseed(seeds.stream(i));
-  }
+  if (coins.size() != n) coins.assign(n, RandomCoinSource(0));
+  for (std::uint32_t i = 0; i < n; ++i) coins[i].reseed(seeds.stream(i));
+  ws_.crashes_per_round_.clear();
 
   adversary.begin(n, options.t_budget);
 
@@ -84,47 +77,24 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
                 options.byzantine_budget, options.byzantine_round_cap);
   auditor.set_strict_decisions(options.strict_decision_audit);
 
-  DynBitset& alive = ws_.alive_;    // not crashed by the adversary
-  DynBitset& halted = ws_.halted_;  // voluntarily stopped
-  auto& payloads = ws_.payloads_;
-  auto& receipts = ws_.receipts_;
-  auto& have_receipt = ws_.have_receipt_;
-
   RunSummary sum;
-  std::uint32_t budget_left = options.t_budget;
   std::uint32_t omission_budget_left = options.omission_budget;
   std::uint32_t corruption_budget_left = options.byzantine_budget;
+  const auto coin_of = [&coins](ProcessId i) -> CoinSource& {
+    return coins[i];
+  };
 
   for (Round r = 1; r <= options.max_rounds; ++r) {
     // --- Phase A: local computation, coins, message preparation.
-    bool anyone_sending = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (!alive.test(i) || halted.test(i)) {
-        payloads[i].reset();
-        continue;
-      }
-      const Receipt* prev = have_receipt[i] != 0 ? &receipts[i] : nullptr;
-      payloads[i] = procs[i]->on_round(prev, coins[i]);
-      if (!payloads[i].has_value()) {
-        SYNRAN_CHECK_MSG(procs[i]->decided(),
-                         "process halted without deciding");
-        halted.set(i);
-      } else {
-        anyone_sending = true;
-      }
-    }
+    const bool anyone_sending = st.phase_a(coin_of);
 
     // Decision bookkeeping. A process decides while digesting the previous
     // round's receipt, so "all decided as of phase A of round r" means the
     // protocol reached decision in round r-1 (paper counting).
-    if (sum.rounds_to_decision == 0 && r > 1) {
-      bool all_decided = true;
-      for (std::uint32_t i = 0; i < n && all_decided; ++i)
-        if (alive.test(i) && !procs[i]->decided()) all_decided = false;
-      if (all_decided) sum.rounds_to_decision = r - 1;
-    }
+    if (sum.rounds_to_decision == 0 && r > 1 && st.all_decided())
+      sum.rounds_to_decision = r - 1;
 
-    auditor.on_phase_a(r, payloads, halted, procs);
+    auditor.on_phase_a(r, st.payloads(), st.halted(), st.processes());
 
     if (!anyone_sending) {
       // Everyone alive has halted: the last communication round was r-1.
@@ -135,90 +105,58 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
 
     obs::RoundObservation round_obs;
     if (observer != nullptr) {
-      round_obs =
-          observe_round(r, n, alive, halted, payloads, procs, budget_left);
+      round_obs = observe_round(r, st);
       observer->on_round_begin(round_obs);
     }
 
     // --- Adversary intervention.
-    const std::uint32_t cap = options.per_round_cap;
-    WorldView world(r, n, alive, halted, payloads, procs, budget_left, cap,
-                    omission_budget_left, options.omission_round_cap,
-                    corruption_budget_left, options.byzantine_round_cap);
-    FaultPlan plan = adversary.plan_round(world);
-    auditor.on_plan(r, plan, payloads);
+    const WorldView world(r, n, st.alive(), st.halted(), st.payloads(),
+                          st.processes(), st.budget_left(),
+                          options.per_round_cap, omission_budget_left,
+                          options.omission_round_cap, corruption_budget_left,
+                          options.byzantine_round_cap);
+    const FaultPlan plan = adversary.plan_round(world);
+    auditor.on_plan(r, plan, st.payloads());
     if (observer != nullptr) observer->on_fault_plan(r, plan);
 
     // --- Phase B: delivery to surviving, non-halted receivers.
-    std::uint64_t round_delivered = 0;
-    std::uint64_t round_omitted = 0;
-    std::uint64_t round_corrupted = 0;
-    DynBitset receivers = alive;
-    for (const auto& c : plan.crashes) receivers.reset(c.victim);
-    {
-      DynBitset active = receivers;
-      halted.for_each_set([&](std::size_t i) { active.reset(i); });
-      RoundTraffic traffic{payloads, &plan};
-      auto delivered = deliver(n, traffic, active);
-      const std::uint64_t before = sum.messages_delivered;
-      active.for_each_set([&](std::size_t i) {
-        receipts[i] = delivered[i];
-        have_receipt[i] = 1;
-        sum.messages_delivered += delivered[i].count;
-      });
-      round_delivered = sum.messages_delivered - before;
-      for (const auto& o : plan.omissions)
-        round_omitted += o.drop_for.count_and(active);
-      for (const auto& cd : plan.corruptions)
-        for (const auto& fg : cd.forgeries)
-          if (active.test(fg.target)) ++round_corrupted;
-      auditor.on_deliveries(r, plan, payloads, active, round_delivered);
-      if (observer != nullptr) observer->on_deliveries(r, round_delivered);
-    }
+    const DeliveryTally tally = st.phase_b(plan);
+    sum.messages_delivered += tally.delivered;
+    auditor.on_deliveries(r, plan, st.payloads(), st.active(),
+                          tally.delivered);
+    if (observer != nullptr) observer->on_deliveries(r, tally.delivered);
 
     // Commit the crashes and the omission/corruption spend.
-    budget_left -= static_cast<std::uint32_t>(plan.crash_count());
-    sum.crashes_total += static_cast<std::uint32_t>(plan.crash_count());
-    omission_budget_left -= static_cast<std::uint32_t>(plan.omission_count());
-    sum.omissions_total += static_cast<std::uint32_t>(plan.omission_count());
-    sum.messages_omitted += round_omitted;
-    corruption_budget_left -=
+    st.commit(plan);
+    const auto crashes = static_cast<std::uint32_t>(plan.crash_count());
+    const auto omissions = static_cast<std::uint32_t>(plan.omission_count());
+    const auto corruptions =
         static_cast<std::uint32_t>(plan.corruption_count());
-    sum.corruptions_total +=
-        static_cast<std::uint32_t>(plan.corruption_count());
-    sum.messages_corrupted += round_corrupted;
-    if (full != nullptr)
-      ws_.crashes_per_round_.push_back(
-          static_cast<std::uint32_t>(plan.crash_count()));
-    for (const auto& c : plan.crashes) alive.reset(c.victim);
+    sum.crashes_total += crashes;
+    omission_budget_left -= omissions;
+    sum.omissions_total += omissions;
+    sum.messages_omitted += tally.omitted;
+    corruption_budget_left -= corruptions;
+    sum.corruptions_total += corruptions;
+    sum.messages_corrupted += tally.corrupted;
+    if (full != nullptr) ws_.crashes_per_round_.push_back(crashes);
     if (observer != nullptr) {
-      round_obs.crashes = static_cast<std::uint32_t>(plan.crash_count());
-      round_obs.delivered = round_delivered;
-      round_obs.omissions = static_cast<std::uint32_t>(plan.omission_count());
-      round_obs.omitted = round_omitted;
-      round_obs.corruptions =
-          static_cast<std::uint32_t>(plan.corruption_count());
-      round_obs.corrupted = round_corrupted;
+      round_obs.crashes = crashes;
+      round_obs.delivered = tally.delivered;
+      round_obs.omissions = omissions;
+      round_obs.omitted = tally.omitted;
+      round_obs.corruptions = corruptions;
+      round_obs.corrupted = tally.corrupted;
       observer->on_round_end(round_obs);
     }
   }
 
   // Harvest final status: agreement across surviving deciders, and the
   // validity verdict while the inputs are still in hand.
-  bool first = true;
-  bool agree = true;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (!alive.test(i) || !procs[i]->decided()) continue;
-    const Bit d = procs[i]->decision();
-    sum.has_decision = true;
-    if (first) {
-      sum.decision = d;
-      first = false;
-    } else if (d != sum.decision) {
-      agree = false;
-    }
-  }
-  sum.agreement = sum.has_decision && agree;
+  const SurvivorVerdict verdict = st.verdict();
+  sum.has_decision = verdict.has_decision;
+  sum.decision = verdict.decision;
+  sum.agreement = verdict.agreement;
   if (!sum.terminated) sum.rounds_to_halt = options.max_rounds;
 
   if (sum.has_decision) {
@@ -229,8 +167,8 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     if (all0 || all1) {
       const Bit required = all0 ? Bit::Zero : Bit::One;
       for (std::uint32_t i = 0; i < n; ++i) {
-        if (!alive.test(i) || !procs[i]->decided()) continue;
-        if (procs[i]->decision() != required) {
+        if (!st.alive().test(i) || !st.process(i).decided()) continue;
+        if (st.process(i).decision() != required) {
           sum.validity = false;
           break;
         }
@@ -256,12 +194,12 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     full->decided.assign(n, false);
     full->decisions.assign(n, Bit::Zero);
     for (std::uint32_t i = 0; i < n; ++i) {
-      if (!alive.test(i)) {
+      if (!st.alive().test(i)) {
         full->crashed[i] = true;
         continue;
       }
-      full->decided[i] = procs[i]->decided();
-      if (full->decided[i]) full->decisions[i] = procs[i]->decision();
+      full->decided[i] = st.process(i).decided();
+      if (full->decided[i]) full->decisions[i] = st.process(i).decision();
     }
   }
 
@@ -279,7 +217,7 @@ RunSummary Engine::run_impl(const ProcessFactory& factory,
     ro.messages_omitted = sum.messages_omitted;
     ro.corruptions_total = sum.corruptions_total;
     ro.messages_corrupted = sum.messages_corrupted;
-    ro.survivors = static_cast<std::uint32_t>(alive.count());
+    ro.survivors = static_cast<std::uint32_t>(st.alive().count());
     observer->on_run_end(ro);
   }
   return sum;

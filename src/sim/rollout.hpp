@@ -4,77 +4,17 @@
 // I crashed these processes" — formally, the probabilities Pr[v | α_k, b] that
 // define valency (§3.2). Computing them exactly is exponential; the
 // simulation-scale substitute (documented in DESIGN.md) estimates them by
-// Monte-Carlo: deep-copy the execution state visible in a WorldView, apply a
-// candidate fault plan to the pending round, and run the copy to completion
-// under a continuation strategy with fresh randomness.
+// Monte-Carlo: fork the execution visible in a WorldView
+// (ExecutionState::fork), apply a candidate fault plan to the pending round,
+// and run the copy to completion under a continuation strategy with fresh
+// randomness.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <vector>
 
-#include "common/dynbitset.hpp"
-#include "common/rng.hpp"
 #include "sim/adversary.hpp"
-#include "sim/process.hpp"
 
 namespace synran {
-
-/// A self-contained, copyable snapshot of an execution at the adversary
-/// decision point of a round (after phase A, before delivery).
-class ForkState {
- public:
-  /// Deep-copies the execution visible in `world`.
-  static ForkState from_world(const WorldView& world);
-
-  ForkState(const ForkState& other);
-  ForkState& operator=(const ForkState&) = delete;
-  ForkState(ForkState&&) = default;
-
-  std::uint32_t n() const { return n_; }
-  Round round() const { return round_; }
-  const DynBitset& alive() const { return alive_; }
-  const DynBitset& halted() const { return halted_; }
-  const std::optional<Payload>& payload(ProcessId p) const {
-    return payloads_[p];
-  }
-  const Process& process(ProcessId p) const { return *procs_[p]; }
-  std::uint32_t budget_left() const { return budget_left_; }
-  std::uint32_t round_cap() const { return round_cap_; }
-
-  /// Applies `plan` to the pending round: commits the crashes, delivers, and
-  /// stores receipts for the survivors. Must be followed by advance().
-  void deliver_with(const FaultPlan& plan);
-
-  /// Runs phase A of the next round; processes draw coins from `coins`
-  /// (indexed by process id). Returns false when every alive process has
-  /// halted (execution over).
-  bool advance(const std::vector<std::unique_ptr<CoinSource>>& coins);
-
-  /// Convenience: true iff all alive processes decided.
-  bool all_alive_decided() const;
-  /// The common decision if agreement holds among decided survivors.
-  std::optional<Bit> unanimous_decision() const;
-
-  /// Builds a WorldView over this state (valid while the state lives and
-  /// until the next mutation).
-  WorldView world_view() const;
-
- private:
-  ForkState() = default;
-
-  std::uint32_t n_ = 0;
-  Round round_ = 1;  ///< the round whose delivery is pending
-  DynBitset alive_;
-  DynBitset halted_;
-  std::vector<std::unique_ptr<Process>> procs_;
-  std::vector<std::optional<Payload>> payloads_;
-  std::vector<Receipt> receipts_;
-  std::vector<bool> have_receipt_;
-  std::uint32_t budget_left_ = 0;
-  std::uint32_t round_cap_ = 0;
-};
 
 /// Outcome of one rollout.
 struct RolloutOutcome {
@@ -87,7 +27,8 @@ struct RolloutOutcome {
 /// Plays the execution in `world` forward to completion: `first_plan` is
 /// applied to the pending round; `continuation` chooses every later plan
 /// (receiving proper WorldViews with the decremented budget). Randomness for
-/// process coins derives from `seed`.
+/// process coins derives from `seed`. Every plan must respect the view's
+/// per-round cap and the remaining budget (InvariantError otherwise).
 RolloutOutcome rollout(const WorldView& world, const FaultPlan& first_plan,
                        Adversary& continuation, std::uint64_t seed,
                        std::uint32_t max_extra_rounds = 100000);

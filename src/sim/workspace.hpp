@@ -1,24 +1,20 @@
 // Reusable per-worker execution state for the synchronous engine.
 //
 // Every repeated-run experiment used to pay one full set of heap
-// allocations per repetition: payload/receipt/status vectors inside
-// Engine::run plus the per-process coin sources. An EngineWorkspace owns all
-// of those buffers once; the engine resets them in place at the start of
-// each run, so a worker executing thousands of repetitions allocates only
-// what the protocol processes themselves need. One workspace serves one
+// allocations per repetition: the execution state's payload/receipt/status
+// vectors plus the per-process coin sources. An EngineWorkspace owns all of
+// those buffers once; the engine resets them in place at the start of each
+// run, so a worker executing thousands of repetitions allocates only what
+// the protocol processes themselves need. One workspace serves one
 // thread — workspaces are never shared concurrently.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
-#include "common/dynbitset.hpp"
 #include "common/ids.hpp"
 #include "common/rng.hpp"
-#include "net/types.hpp"
-#include "sim/process.hpp"
+#include "sim/execution.hpp"
 
 namespace synran {
 
@@ -79,34 +75,9 @@ class EngineWorkspace {
  private:
   friend class Engine;
 
-  /// Sizes every buffer for system size `n` (first use or n change) or
-  /// clears them in place (steady state; no allocation).
-  void prepare(std::uint32_t n) {
-    if (alive_.size() != n) {
-      alive_ = DynBitset(n, true);
-      halted_ = DynBitset(n, false);
-      payloads_.assign(n, std::nullopt);
-      receipts_.assign(n, Receipt{});
-      have_receipt_.assign(n, 0);
-      procs_.resize(n);
-      coins_.assign(n, RandomCoinSource(0));
-    } else {
-      alive_.set_all();
-      halted_.clear_all();
-      for (auto& p : payloads_) p.reset();
-      for (auto& h : have_receipt_) h = 0;
-    }
-    crashes_per_round_.clear();
-  }
-
   std::vector<Bit> inputs_;
-  std::vector<std::unique_ptr<Process>> procs_;
+  ExecutionState state_;
   std::vector<RandomCoinSource> coins_;
-  DynBitset alive_;
-  DynBitset halted_;
-  std::vector<std::optional<Payload>> payloads_;
-  std::vector<Receipt> receipts_;
-  std::vector<std::uint8_t> have_receipt_;
   std::vector<std::uint32_t> crashes_per_round_;  ///< full-result runs only
 };
 

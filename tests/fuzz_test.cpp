@@ -1,6 +1,7 @@
 // Randomized configuration sweep ("fuzz grid"): hundreds of seeded random
 // (protocol, adversary, n, t, inputs) combinations, every run checked
-// against the full §3.1 model-invariant set via traces plus the consensus
+// against the full §3.1 model: RunAuditor live, the round bookkeeping checks
+// of round_invariants.hpp over the observed rounds, and the consensus
 // conditions. This is the catch-all net under the targeted suites.
 #include <gtest/gtest.h>
 
@@ -14,9 +15,10 @@
 #include "protocols/kfloodmin.hpp"
 #include "protocols/leadercoin.hpp"
 #include "protocols/synran.hpp"
+#include "round_invariants.hpp"
 #include "runner/experiment.hpp"
+#include "runner/narrate.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace synran {
 namespace {
@@ -125,21 +127,22 @@ TEST(FuzzGrid, HundredsOfRandomConfigsKeepEveryInvariant) {
   int safety_checked = 0;
   for (int iter = 0; iter < 250; ++iter) {
     FuzzConfig cfg = draw(rng);
-    TracingAdversary tracer(*cfg.adversary);
+    RoundLog log;
     EngineOptions opts;
     opts.t_budget = cfg.t;
     opts.seed = rng.next();
     // The symmetric ablation can genuinely livelock under attack at larger
     // n; the cap turns that into a skipped (not failed) liveness check.
     opts.max_rounds = 30000;
+    opts.observer = &log;
 
-    const auto res = run_once(*cfg.factory, cfg.inputs, tracer, opts);
+    const auto res = run_once(*cfg.factory, cfg.inputs, *cfg.adversary, opts);
 
-    // Model invariants hold unconditionally.
-    const auto report = check_model_invariants(tracer.trace());
-    ASSERT_TRUE(report.ok)
-        << "iter " << iter << " [" << cfg.label << "]: "
-        << (report.violations.empty() ? "" : report.violations.front());
+    // Model invariants hold unconditionally (RunAuditor enforced the rest
+    // of §3.1 live, or run_once would have thrown).
+    const auto report = testing_support::check_round_invariants(log);
+    ASSERT_TRUE(report.ok) << "iter " << iter << " [" << cfg.label
+                           << "]: " << report.first();
     EXPECT_LE(res.crashes_total, cfg.t) << cfg.label;
 
     if (!res.terminated) {
@@ -164,16 +167,17 @@ TEST(FuzzGrid, MessageAccountingMatchesTraces) {
   Xoshiro256 rng(0xfeed);
   for (int iter = 0; iter < 40; ++iter) {
     FuzzConfig cfg = draw(rng);
-    TracingAdversary tracer(*cfg.adversary);
+    RoundLog log;
     EngineOptions opts;
     opts.t_budget = cfg.t;
     opts.seed = rng.next();
     opts.max_rounds = 30000;
-    const auto res = run_once(*cfg.factory, cfg.inputs, tracer, opts);
+    opts.observer = &log;
+    const auto res = run_once(*cfg.factory, cfg.inputs, *cfg.adversary, opts);
     if (!res.terminated) continue;
     // Each round delivers at most senders × receivers messages.
     std::uint64_t upper = 0;
-    for (const auto& r : tracer.trace().rounds)
+    for (const auto& r : log.rounds())
       upper += static_cast<std::uint64_t>(r.senders) *
                (r.alive - r.halted);
     EXPECT_LE(res.messages_delivered, upper) << cfg.label;

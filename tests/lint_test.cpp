@@ -150,7 +150,7 @@ TEST(LintIostream, LibraryCodeMayNotPrint) {
   EXPECT_EQ(count_rule(scan_file("bench/bench_util.hpp", line), "iostream"),
             0u);
   // <ostream> for operator<< is fine anywhere.
-  EXPECT_TRUE(scan_file("src/sim/trace.cpp", "#include <ostream>").empty());
+  EXPECT_TRUE(scan_file("src/sim/engine.cpp", "#include <ostream>").empty());
 }
 
 // ------------------------------------------------------------ bare-assert

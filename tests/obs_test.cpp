@@ -1,6 +1,7 @@
 // Tests for the observability layer: the deterministic JSON model, the
 // metrics registry, observer fan-out ordering, and the composed engine view
-// (JSONL trace + metrics + TracingAdversary must all agree on one run).
+// (JSONL trace + metrics + round log + the adversary's own view must all
+// agree on one run).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,9 +17,10 @@
 #include "obs/trace_writer.hpp"
 #include "protocols/floodmin.hpp"
 #include "protocols/synran.hpp"
+#include "round_invariants.hpp"
 #include "runner/experiment.hpp"
+#include "runner/narrate.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace synran {
 namespace {
@@ -224,11 +226,45 @@ TEST(ObsMultiObserver, FansOutEveryCallbackInInstallationOrder) {
 
 // ------------------------------------------------- composed engine view
 
-/// One adversarial run observed three ways at once; every view must agree.
+/// What the adversary itself saw at each decision point: the population
+/// and sender counts of its WorldView, and how many processes it crashed.
+struct AdversaryRound {
+  std::uint32_t alive = 0;
+  std::uint32_t senders = 0;
+  std::uint32_t crashes = 0;
+};
+
+/// Delegates to an inner adversary, recording its view of every round.
+class ViewRecordingAdversary final : public Adversary {
+ public:
+  ViewRecordingAdversary(Adversary& inner, std::vector<AdversaryRound>& out)
+      : inner_(&inner), out_(&out) {}
+  void begin(std::uint32_t n, std::uint32_t t_budget) override {
+    inner_->begin(n, t_budget);
+  }
+  FaultPlan plan_round(const WorldView& world) override {
+    FaultPlan plan = inner_->plan_round(world);
+    AdversaryRound r;
+    r.alive = static_cast<std::uint32_t>(world.alive().count());
+    for (ProcessId i = 0; i < world.n(); ++i)
+      if (world.sending(i)) ++r.senders;
+    r.crashes = static_cast<std::uint32_t>(plan.crash_count());
+    out_->push_back(r);
+    return plan;
+  }
+  const char* name() const override { return "view-recording"; }
+
+ private:
+  Adversary* inner_;
+  std::vector<AdversaryRound>* out_;
+};
+
+/// One adversarial run observed four ways at once; every view must agree.
 struct ComposedRun {
   std::string jsonl;
   obs::MetricsRegistry metrics;
-  Trace trace;
+  RoundLog log;
+  std::vector<AdversaryRound> adversary_view;
   RunResult result;
 };
 
@@ -240,9 +276,10 @@ ComposedRun run_composed(std::uint64_t seed) {
   obs::MultiObserver multi;
   multi.add(writer);
   multi.add(metrics);
+  multi.add(out.log);
 
   CoinBiasAdversary inner({0.55, true, seed});
-  TracingAdversary tracer(inner);
+  ViewRecordingAdversary recorder(inner, out.adversary_view);
 
   SynRanFactory factory;
   EngineOptions opts;
@@ -252,10 +289,9 @@ ComposedRun run_composed(std::uint64_t seed) {
   opts.observer = &multi;
   Xoshiro256 rng(seed);
   out.result = run_once(factory, make_inputs(16, InputPattern::Half, rng),
-                        tracer, opts);
+                        recorder, opts);
   out.jsonl = stream.str();
   out.metrics = metrics.metrics();
-  out.trace = tracer.trace();
   return out;
 }
 
@@ -277,17 +313,20 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
   EXPECT_EQ(events.front().find("schema")->as_string(), obs::kTraceSchema);
   EXPECT_EQ(events.back().find("event")->as_string(), "run_end");
 
-  // One round event per communication round, matching both the engine's
-  // round count and the adversary-side TracingAdversary.
+  // One round event per communication round, matching the engine's round
+  // count, the round log and what the adversary saw at each decision point.
   const std::size_t round_events = events.size() - 2;
   EXPECT_EQ(round_events, run.result.rounds_to_halt);
-  ASSERT_EQ(round_events, run.trace.rounds.size());
+  ASSERT_EQ(round_events, run.log.rounds().size());
+  ASSERT_EQ(round_events, run.adversary_view.size());
   for (std::size_t i = 0; i < round_events; ++i) {
     const auto& ev = events[i + 1];
+    const auto& seen = run.adversary_view[i];
     EXPECT_EQ(ev.find("event")->as_string(), "round");
-    EXPECT_EQ(ev.find("crashes")->as_int(), run.trace.rounds[i].crashes);
-    EXPECT_EQ(ev.find("alive")->as_int(), run.trace.rounds[i].alive);
-    EXPECT_EQ(ev.find("senders")->as_int(), run.trace.rounds[i].senders);
+    EXPECT_EQ(ev.find("crashes")->as_int(), seen.crashes);
+    EXPECT_EQ(ev.find("alive")->as_int(), seen.alive);
+    EXPECT_EQ(ev.find("senders")->as_int(), seen.senders);
+    EXPECT_EQ(ev.find("senders")->as_int(), run.log.rounds()[i].senders);
     EXPECT_EQ(static_cast<std::uint32_t>(ev.find("crashes")->as_int()),
               run.result.crashes_per_round[i]);
   }
@@ -313,11 +352,9 @@ TEST(ObsComposed, TraceMetricsAndAdversaryViewsAgree) {
   EXPECT_EQ(run.metrics.histogram_at("crashes_per_round").count(),
             round_events);
 
-  // The recorded trace still satisfies the §3.1 model invariants.
-  const auto report = check_model_invariants(run.trace);
-  EXPECT_TRUE(report.ok) << (report.violations.empty()
-                                 ? ""
-                                 : report.violations.front());
+  // The observed rounds still satisfy the §3.1 bookkeeping checks.
+  const auto report = testing_support::check_round_invariants(run.log);
+  EXPECT_TRUE(report.ok) << report.first();
 }
 
 TEST(ObsTraceWriter, RunAbandonedClosesOpenRunsAndStandsAloneOnSetupFailure) {

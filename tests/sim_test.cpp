@@ -1,4 +1,5 @@
-// Tests for the synchronous engine and the rollout/fork machinery, using
+// Tests for the synchronous engine, its shared execution state and round
+// step, and the rollout/fork machinery, using
 // small purpose-built protocols so engine mechanics are observable in
 // isolation from the real consensus logic.
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "sim/engine.hpp"
+#include "sim/execution.hpp"
 #include "sim/process.hpp"
 #include "sim/rollout.hpp"
 
@@ -415,17 +417,24 @@ TEST(RolloutTest, BudgetIsThreadedThroughFork) {
   EchoFactory factory(4);
   bool probed = false;
   ProbeAdversary adv(2, [&probed](const WorldView& w) {
-    ForkState fork = ForkState::from_world(w);
+    ExecutionState fork = ExecutionState::fork(w);
     EXPECT_EQ(fork.budget_left(), w.budget_left());
-    EXPECT_EQ(fork.round(), w.round());
+    EXPECT_EQ(fork.alive(), w.alive());
+    EXPECT_EQ(fork.halted(), w.halted());
     // Over-budget plan must throw inside the fork as well.
     FaultPlan plan;
     for (ProcessId i = 0; i < w.n() && plan.crashes.size() <= w.budget_left();
          ++i)
       if (w.sending(i)) plan.crashes.push_back({i, DynBitset(w.n())});
     if (plan.crash_count() > w.budget_left()) {
-      EXPECT_THROW(fork.deliver_with(plan), InvariantError);
+      EXPECT_THROW(fork.apply(plan), InvariantError);
     }
+    // A plan within budget is charged to the fork, not to the execution.
+    FaultPlan one;
+    one.crashes.push_back({0, DynBitset(w.n())});
+    fork.apply(one);
+    EXPECT_EQ(fork.budget_left(), w.budget_left() - 1);
+    EXPECT_EQ(w.budget_left(), 1u);
     probed = true;
     return FaultPlan{};
   });
@@ -435,21 +444,81 @@ TEST(RolloutTest, BudgetIsThreadedThroughFork) {
   EXPECT_TRUE(probed);
 }
 
-TEST(ForkStateTest, CopyIsIndependent) {
+// ------------------------------------------------------- execution state
+
+TEST(ExecutionStateTest, ForkCopyIsIndependent) {
   MajorityOnceFactory factory;
-  ProbeAdversary adv(1, [](const WorldView& w) {
-    ForkState a = ForkState::from_world(w);
-    ForkState b(a);
+  bool probed = false;
+  ProbeAdversary adv(1, [&probed](const WorldView& w) {
+    ExecutionState a = ExecutionState::fork(w);
+    ExecutionState b(a);
+    EXPECT_NE(&a.process(0), &b.process(0));  // processes are cloned
     FaultPlan plan;
     plan.crashes.push_back({0, DynBitset(w.n())});
-    a.deliver_with(plan);
+    a.apply(plan);
     EXPECT_FALSE(a.alive().test(0));
     EXPECT_TRUE(b.alive().test(0));  // the copy is untouched
+    EXPECT_EQ(b.budget_left(), w.budget_left());
+    EXPECT_EQ(b.receipt(1), nullptr);
+
+    ExecutionState c;
+    c = a;  // copy assignment is deep too
+    EXPECT_EQ(c.alive(), a.alive());
+    EXPECT_NE(&c.process(1), &a.process(1));
+    EXPECT_NE(c.receipt(1), nullptr);
+    if (c.receipt(1) != nullptr) {
+      EXPECT_EQ(*c.receipt(1), *a.receipt(1));
+    }
+    probed = true;
     return FaultPlan{};
   });
   EngineOptions opts;
   opts.t_budget = 1;
   run_once(factory, bits({1, 1, 0}), adv, opts);
+  EXPECT_TRUE(probed);
+}
+
+TEST(ExecutionStateTest, RoundStepDeliversCommitsAndJudges) {
+  // Three majority-once processes, driven by hand: round 1 sends, the plan
+  // silences process 2 (the only 0) towards everyone, round 2 decides.
+  MajorityOnceFactory factory;
+  const auto inputs = bits({1, 1, 0});
+  ExecutionState st;
+  st.start(factory, inputs, 1);
+  std::vector<ProcessId> asked;
+  RandomCoinSource coins(1);
+  const auto coin_of = [&](ProcessId i) -> CoinSource& {
+    asked.push_back(i);
+    return coins;
+  };
+  EXPECT_TRUE(st.phase_a(coin_of));
+  EXPECT_EQ(asked, (std::vector<ProcessId>{0, 1, 2}));
+
+  FaultPlan plan;
+  plan.crashes.push_back({2, DynBitset(3)});
+  const DeliveryTally tally = st.phase_b(plan);
+  EXPECT_EQ(tally.delivered, 4u);  // two survivors hear the two 1-senders
+  EXPECT_FALSE(st.active().test(2));
+  EXPECT_TRUE(st.alive().test(2));  // not committed yet
+  st.commit(plan);
+  EXPECT_FALSE(st.alive().test(2));
+  EXPECT_EQ(st.budget_left(), 0u);
+
+  asked.clear();
+  EXPECT_FALSE(st.phase_a(coin_of));  // both survivors decide and halt
+  EXPECT_EQ(asked, (std::vector<ProcessId>{0, 1}));
+  const SurvivorVerdict v = st.verdict();
+  EXPECT_TRUE(v.all_decided);
+  EXPECT_TRUE(v.agreement);
+  EXPECT_EQ(v.decision, Bit::One);
+
+  // start() reuses the buffers for a fresh execution of the same size.
+  st.start(factory, inputs, 1);
+  EXPECT_TRUE(st.alive().test(2));
+  EXPECT_TRUE(st.halted().none());
+  EXPECT_EQ(st.receipt(0), nullptr);
+  EXPECT_EQ(st.budget_left(), 1u);
+  EXPECT_FALSE(st.verdict().has_decision);
 }
 
 }  // namespace

@@ -62,7 +62,6 @@
 #include "runner/run_spec.hpp"
 #include "serve/server.hpp"
 #include "sim/engine.hpp"
-#include "sim/trace.hpp"
 
 namespace {
 
@@ -422,17 +421,20 @@ int cmd_narrate(const Args& args) {
           {"pattern", args.get("pattern", "half")}}),
       1);
   const RepeatSpec& spec = plan.spec;
-  auto inner = plan.adversaries(spec.seed);
-  TracingAdversary tracer(*inner);
+  auto adversary = plan.adversaries(spec.seed);
   EngineOptions opts = spec.engine;
   opts.seed = spec.seed;
+  RoundLog log;
+  obs::MultiObserver observers;
+  observers.add(log);
   const auto trace_out = open_trace(args);
-  opts.observer = trace_out.get();
+  if (trace_out != nullptr) observers.add(*trace_out);
+  opts.observer = &observers;
   Xoshiro256 rng(spec.seed);
   const auto inputs = make_inputs(spec.n, spec.pattern, rng);
-  const auto res = run_once(*plan.factory, inputs, tracer, opts);
+  const auto res = run_once(*plan.factory, inputs, *adversary, opts);
   if (trace_out != nullptr) trace_out->close();
-  narrate(tracer.trace(), std::cout);
+  narrate(log, std::cout);
   std::cout << "decision "
             << (res.has_decision ? std::to_string(to_int(res.decision)) : "-")
             << " @ round " << res.rounds_to_decision << ", agreement "
