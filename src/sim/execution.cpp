@@ -25,11 +25,10 @@ ExecutionState& ExecutionState::operator=(const ExecutionState& other) {
 void ExecutionState::start(const ProcessFactory& factory,
                            std::span<const Bit> inputs, std::uint32_t budget) {
   const auto n = static_cast<std::uint32_t>(inputs.size());
-  if (n_ != n || alive_.size() != n) {
-    n_ = n;
+  n_ = n;
+  if (alive_.size() != n) {
     alive_ = DynBitset(n, true);
     halted_ = DynBitset(n, false);
-    active_ = DynBitset(n, false);
     payloads_.assign(n, std::nullopt);
     receipts_.assign(n, Receipt{});
     have_receipt_.assign(n, 0);
@@ -52,7 +51,6 @@ ExecutionState ExecutionState::fork(const WorldView& world) {
   for (const auto& p : world.processes()) s.procs_.push_back(p->clone());
   s.alive_ = world.alive();
   s.halted_ = world.halted();
-  s.active_ = DynBitset(s.n_, false);
   s.payloads_.assign(world.payloads().begin(), world.payloads().end());
   s.receipts_.assign(s.n_, Receipt{});
   s.have_receipt_.assign(s.n_, 0);
